@@ -5,54 +5,26 @@ Both iterate over elements (u, i); CA-Greedy picks by maximum marginal
 the chosen element would overshoot advertiser i's budget, that advertiser
 is closed (this is what makes CA-Greedy "terminate with very few seeds"
 under the super-linear cost model — the paper's footnote-8 behaviour).
-CELF lazy evaluation as in the core algorithms.
+Selection is the CELF engine of the core algorithms.
 """
 from __future__ import annotations
 
-import heapq
-
-import numpy as np
-
-from repro.core.greedy import _rate, _EPS
+from repro.core.celf import Ledger
 from repro.core.model import RMProblem
-from repro.core.threshold_greedy import _feasible_elements
 
 
 def _greedy_by_rule(prob: RMProblem, rule: str) -> list:
     assert rule in ("gain", "rate")
-    h, costs, B = prob.h, prob.costs, prob.budgets
-    advs, nodes, sp = _feasible_elements(prob)
-    state = prob.model.state()
-    heap = []
-    for i, v in zip(advs, nodes):
-        i, v = int(i), int(v)
-        g0 = float(sp[i, v])
-        key = g0 if rule == "gain" else _rate(g0, float(costs[i, v]))
-        heap.append((-key, v, i))
-    heapq.heapify(heap)
-    alloc = [set() for _ in range(h)]
-    used: set[int] = set()
-    closed: set[int] = set()
-    spend = np.zeros(h)
-    pi_s = np.zeros(h)
-    while heap and len(closed) < h:
-        neg_k, u, i = heapq.heappop(heap)
-        if u in used or i in closed:
-            continue
-        g = state.gain(u, i)
-        key = g if rule == "gain" else _rate(g, float(costs[i, u]))
-        if heap and key < -neg_k - _EPS:
-            heapq.heappush(heap, (-key, u, i))
-            continue
-        if spend[i] + costs[i, u] + pi_s[i] + g <= B[i] + _EPS:
-            state.add(u, i)
-            alloc[i].add(u)
-            used.add(u)
-            spend[i] += costs[i, u]
-            pi_s[i] += g
+    ledger = Ledger(prob)
+
+    def visit(u, i, g):  # select, or close the advertiser
+        if ledger.fits(u, i, g):
+            ledger.select(u, i, g)
         else:
-            closed.add(i)
-    return alloc
+            ledger.closed.add(i)
+
+    ledger.run(prob.initial_order(rule), visit, by_rate=rule == "rate")
+    return ledger.alloc
 
 
 def ca_greedy(prob: RMProblem) -> list:

@@ -20,14 +20,12 @@ are why TI-CSRM — which selects many cheap seeds — is the slowest.
 """
 from __future__ import annotations
 
-import heapq
-
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.baselines.tim import kpt_estimation, tim_theta
-from repro.core.greedy import _rate, _EPS
+from repro.core.celf import EPS, celf, presorted, push_all, rates
 from repro.graphs.csr import CSRGraph
 from repro.influence.rrset import RRCollection
 
@@ -177,42 +175,44 @@ def ti_rm(
     closed: set[int] = set()
     epoch_of = [0] * h
 
-    def push_all(heap, i):
+    def entries(i):
+        """Advertiser i's feasible unused nodes on its current sample,
+        tagged with its epoch (entries of older epochs are skipped)."""
         s = samples[i]
         counts = s.rr.singleton_cover_counts()[i].astype(np.float64)
         g0 = s.cpe_i * n * counts / s.rr.n_rr
-        for u in range(n):
-            if u in used or u in alloc[i]:
-                continue
-            if costs[i, u] + (1.0 + eps) * g0[u] <= budgets[i] + _EPS:
-                key = g0[u] if rule == "gain" else _rate(g0[u], float(costs[i, u]))
-                heapq.heappush(heap, (-key, u, i, epoch_of[i]))
+        ok = costs[i] + (1.0 + eps) * g0 <= budgets[i] + EPS
+        ok[list(used)] = False
+        nodes = np.flatnonzero(ok)
+        keys = g0[nodes] if rule == "gain" else rates(g0[nodes], costs[i, nodes])
+        return presorted(keys, nodes, np.full(len(nodes), i), epoch_of[i])
 
-    heap: list = []
-    for i in range(h):
-        push_all(heap, i)
-
-    while heap and len(closed) < h:
-        neg_k, u, i, ep = heapq.heappop(heap)
-        if ep != epoch_of[i] or u in used or i in closed:
-            continue
+    def visit(u, i, g):
         s = samples[i]
-        g = s.gain(u)
-        key = g if rule == "gain" else _rate(g, float(costs[i, u]))
-        if heap and key < -neg_k - _EPS:
-            heapq.heappush(heap, (-key, u, i, ep))
-            continue
         # Conservative feasibility: inflate the revenue estimate by (1+ε).
-        if spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + _EPS:
+        if spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + EPS:
             s.add(u)
             alloc[i].add(u)
             used.add(u)
             spend[i] += costs[i, u]
             if s.maybe_double(alloc[i]):
                 epoch_of[i] += 1
-                push_all(heap, i)
+                push_all(heap, entries(i))
         else:
             closed.add(i)
+
+    heap: list = []  # epoch re-pushes
+    celf(
+        sorted(e for i in range(h) for e in entries(i)),
+        lambda u, i: samples[i].gain(u),
+        visit,
+        used=used,
+        closed=closed,
+        n_open=h,
+        rate_costs=costs.tolist() if rule == "rate" else None,
+        skip=lambda top: top[3] != epoch_of[top[2]],
+        heap=heap,
+    )
     return TIResult(
         allocation=alloc,
         n_rr_total=int(sum(s.spent for s in samples)),

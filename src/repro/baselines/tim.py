@@ -24,9 +24,9 @@ from repro.influence.rrset import RRCollection
 def rr_width(rr: RRCollection, csr: CSRGraph) -> np.ndarray:
     """Per-RR-set width w(R) = Σ_{v∈R} indeg(v) (TIM's κ statistic input)."""
     indeg = np.diff(csr.in_indptr)
-    nodes = rr.exploded["node"].to_numpy()
-    ids = rr.exploded["rr_id"].to_numpy()
-    return np.bincount(ids, weights=indeg[nodes], minlength=rr.n_rr)
+    return np.bincount(
+        rr.rr_of_members(), weights=indeg[rr.members], minlength=rr.n_rr
+    )
 
 
 def kpt_estimation(

@@ -4,27 +4,18 @@ Selects by maximum marginal *rate* ζ_i(v|S_i) = π_i(v|S_i)/(c_i(v)+π_i(v|S_i)
 until the first node whose addition would overshoot B_i (the "stopple node",
 kept in D_i); returns the better of S_i and D_i.
 
-Selection uses CELF lazy evaluation: ζ is monotone increasing in the
-marginal gain for fixed cost, and gains only shrink as S_i grows
-(submodularity), so a stale rate is a valid upper bound.
+Selection is the CELF engine (``repro.core.celf``) keyed by rate: ζ is
+monotone increasing in the marginal gain for fixed cost, and gains only
+shrink as S_i grows (submodularity), so a stale rate is a valid upper bound.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
+import numpy as np
 
-
+from repro.core.celf import EPS, Ledger, presorted, rates
 from repro.core.model import RMProblem
-
-_EPS = 1e-12
-
-
-def _rate(gain: float, cost: float) -> float:
-    denom = cost + gain
-    if denom <= 0.0:
-        return 0.0
-    return gain / denom
 
 
 @dataclass
@@ -37,37 +28,26 @@ class GreedyResult:
 
 def greedy(prob: RMProblem, candidates, i: int) -> GreedyResult:
     """Run Algorithm 1 for advertiser ``i`` over candidate nodes."""
-    model, costs, B = prob.model, prob.costs, float(prob.budgets[i])
+    model, costs = prob.model, prob.costs
     sp = model.singleton_pi()
-    state = model.state()
     # Line 1: drop nodes that are infeasible on their own.
-    heap = []
-    for v in candidates:
-        v = int(v)
-        g0 = float(sp[i, v])
-        if costs[i, v] + g0 <= B + _EPS:
-            heapq.heappush(heap, (-_rate(g0, costs[i, v]), v, g0))
-    s_set: set[int] = set()
+    nodes = np.fromiter((int(v) for v in candidates), dtype=np.int64)
+    g0 = sp[i, nodes]
+    ok = costs[i, nodes] + g0 <= prob.budgets[i] + EPS
+    nodes, g0 = nodes[ok], g0[ok]
+    order = presorted(rates(g0, costs[i, nodes]), nodes, np.full(len(nodes), i))
+    ledger = Ledger(prob)
     d_set: set[int] = set()
-    spend = 0.0  # c_i(S_i)
-    pi_s = 0.0  # π_i(S_i)
-    while heap and not d_set:
-        neg_r, u, g_stale = heapq.heappop(heap)
-        g = state.gain(u, i)
-        r = _rate(g, float(costs[i, u]))
-        # Lazy (CELF) evaluation: re-push whenever the key is stale so pops
-        # happen in exact (rate, node) order, ties included.
-        if heap and r < -neg_r - _EPS:
-            heapq.heappush(heap, (-r, u, g))
-            continue
-        # u is the current max-rate element: select-or-stopple.
-        if spend + costs[i, u] + pi_s + g <= B + _EPS:
-            state.add(u, i)
-            s_set.add(u)
-            spend += float(costs[i, u])
-            pi_s += g
+
+    def visit(u, i, g):  # select-or-stopple; the stopple ends the run
+        if ledger.fits(u, i, g):
+            ledger.select(u, i, g)
         else:
-            d_set = {u}
+            d_set.add(u)
+            ledger.closed.add(i)
+
+    ledger.run(order, visit, n_open=1, by_rate=True)
+    s_set, pi_s = ledger.alloc[i], ledger.pi[i]
     pi_d = model.pi_of(i, d_set) if d_set else 0.0
     if pi_d > pi_s:
         return GreedyResult(seeds=set(d_set), s_set=s_set, d_set=d_set, pi_star=pi_d)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.celf import EPS, presorted, rates
 from repro.influence.rrset import RRCollection
 
 
@@ -67,9 +68,13 @@ class RevenueModel:
 
 
 class _CoverageState(AllocState):
+    """Covered RR sets of an allocation. Every (adv, node) key's count of
+    uncovered RR sets is kept current, so a marginal gain is one lookup."""
+
     def __init__(self, model: "CoverageRevenueModel", allocation=None):
         self.model = model
         self.covered = np.zeros(model.rr.n_rr, dtype=bool)
+        self.uncovered = model.rr.singleton_cover_counts().copy()  # (h, n)
         self.cov_count = np.zeros(model.h, dtype=np.int64)
         if allocation is not None:
             for i in range(model.h):
@@ -77,18 +82,19 @@ class _CoverageState(AllocState):
                     self.add(int(u), i)
 
     def gain(self, u: int, i: int) -> float:
-        ids = self.model.rr.rr_ids_for(u, i)
-        if len(ids) == 0:
-            return 0.0
-        return float(np.count_nonzero(~self.covered[ids])) * self.model.factor
+        return float(self.uncovered[i, u]) * self.model.factor
 
     def add(self, u: int, i: int) -> None:
-        ids = self.model.rr.rr_ids_for(u, i)
-        if len(ids) == 0:
-            return
+        rr = self.model.rr
+        ids = rr.rr_ids_for(u, i)
         newly = ids[~self.covered[ids]]
+        if len(newly) == 0:
+            return
         self.covered[newly] = True
         self.cov_count[i] += len(newly)
+        # The newly covered sets are all advertiser i's: each of their
+        # members' keys loses one uncovered set.
+        self.uncovered[i] -= np.bincount(rr.members_of(newly), minlength=rr.n)
 
     def pi_i(self, i: int) -> float:
         return float(self.cov_count[i]) * self.model.factor
@@ -247,15 +253,39 @@ class ExactRevenueModel(RevenueModel):
 
 @dataclass
 class RMProblem:
-    """Model + budget data for one RM instance (possibly in sampling space)."""
+    """Model + budget data for one RM instance (possibly in sampling space).
+
+    The selection algorithms cache derived data on the problem (presorted
+    CELF entries, cost rows), so costs and budgets are fixed once an
+    algorithm has run on it.
+    """
 
     model: RevenueModel
     costs: np.ndarray  # (h, n)
     budgets: np.ndarray  # (h,)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
         self.budgets = np.asarray(self.budgets, dtype=np.float64)
+
+    def initial_order(self, key: str) -> list:
+        """Line 1 of Algorithms 2–3 as presorted CELF entries: every element
+        with c_j(v) + π_j({v}) ≤ B_j, keyed by singleton gain or rate.
+        Sorted once per problem and shared (read-only) by every run."""
+        if key not in self._cache:
+            sp = self.model.singleton_pi()
+            advs, nodes = np.nonzero(self.costs + sp <= self.budgets[:, None] + EPS)
+            g0 = sp[advs, nodes]
+            keys = g0 if key == "gain" else rates(g0, self.costs[advs, nodes])
+            self._cache[key] = presorted(keys, nodes, advs)
+        return self._cache[key]
+
+    def cost_rows(self) -> list:
+        """``costs`` as nested lists of floats, for scalar reads in loops."""
+        if "cost_rows" not in self._cache:
+            self._cache["cost_rows"] = self.costs.tolist()
+        return self._cache["cost_rows"]
 
     @property
     def n(self) -> int:

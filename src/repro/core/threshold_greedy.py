@@ -7,19 +7,20 @@ If exactly one advertiser depleted its budget, Algorithm 1 is re-run for it
 over the unselected nodes (the A_i set of Theorem 3.2's b=1 case). Fill then
 greedily tops up every advertiser by marginal rate.
 
-Both use CELF lazy evaluation. An element's skip conditions (node already
-used, advertiser depleted, rate below threshold) are all monotone — once
-true they stay true — so evaluating them only when the element surfaces as
-the current maximum is exactly the paper's semantics.
+Both run on the CELF engine (``repro.core.celf``) from the problem's cached
+presorted entries. An element's skip conditions (node already used,
+advertiser depleted, rate below threshold) are all monotone — once true
+they stay true — so evaluating them only when the element surfaces as the
+current maximum is exactly the paper's semantics.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.greedy import greedy, _rate, _EPS
+from repro.core.celf import EPS, Ledger, rate
+from repro.core.greedy import greedy
 from repro.core.model import RMProblem
 
 
@@ -33,50 +34,28 @@ class TGResult:
     pi_star: float  # π(S⃗*) under the problem's model
 
 
-def _feasible_elements(prob: RMProblem):
-    """Line 1 of Algorithms 2–3: elements with c_j(v) + π_j(v) ≤ B_j."""
-    sp = prob.model.singleton_pi()
-    ok = prob.costs + sp <= prob.budgets[:, None] + _EPS
-    advs, nodes = np.nonzero(ok)
-    return advs, nodes, sp
-
-
 def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
     """Run Algorithm 2 under threshold γ; returns the filled allocation."""
-    h, costs, B = prob.h, prob.costs, prob.budgets
-    advs, nodes, sp = _feasible_elements(prob)
-    state = prob.model.state()
-    heap = [
-        (-float(sp[i, v]), int(v), int(i)) for i, v in zip(advs, nodes)
-    ]
-    heapq.heapify(heap)
-    s_sets = [set() for _ in range(h)]
+    h = prob.h
+    ledger = Ledger(prob)
+    costs = ledger.costs
+    with np.errstate(divide="ignore", invalid="ignore"):  # B_i = 0 is allowed
+        floor = (gamma / prob.budgets - EPS).tolist()  # γ/B_i
     d_sets = [set() for _ in range(h)]
-    used: set[int] = set()  # nodes in ∪_j S_j ∪ D_j
-    depleted: set[int] = set()  # I
-    spend = np.zeros(h)  # c_i(S_i)
-    pi_s = np.zeros(h)  # π_i(S_i)
-    while heap and len(depleted) < h:
-        negg, u, i = heapq.heappop(heap)
-        if u in used or i in depleted:
-            continue  # monotone skip conditions — discard early
-        g = state.gain(u, i)
-        if heap and g < -negg - _EPS:
-            heapq.heappush(heap, (-g, u, i))
-            continue
-        # (u, i) is the current max-gain element of M.
-        if gamma > 0.0 and _rate(g, float(costs[i, u])) < gamma / B[i] - _EPS:
-            continue  # Line 5: rate below threshold — drop element
-        if spend[i] + costs[i, u] + pi_s[i] + g <= B[i] + _EPS:
-            state.add(u, i)
-            s_sets[i].add(u)
-            used.add(u)
-            spend[i] += costs[i, u]
-            pi_s[i] += g
+    depleted = ledger.closed  # I; ledger.used holds ∪_j S_j ∪ D_j
+
+    def visit(u, i, g):  # (u, i) is the current max-gain element of M
+        if gamma > 0.0 and rate(g, costs[i][u]) < floor[i]:
+            return  # Line 5: rate below threshold — drop element
+        if ledger.fits(u, i, g):
+            ledger.select(u, i, g)
         else:
             d_sets[i] = {u}
-            used.add(u)
+            ledger.used.add(u)
             depleted.add(i)
+
+    ledger.run(prob.initial_order("gain"), visit)
+    s_sets = ledger.alloc
     a_sets = [set() for _ in range(h)]
     if len(depleted) == 1:
         i = next(iter(depleted))
@@ -102,32 +81,18 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
 
 def fill(prob: RMProblem, allocation) -> list:
     """Algorithm 3: greedily top up by marginal rate until budgets deplete."""
-    h, costs, B = prob.h, prob.costs, prob.budgets
-    allocation = [set(s) for s in allocation]
-    state = prob.model.state(allocation)
-    spend = np.array([prob.cost_of(i, allocation[i]) for i in range(h)])
-    pi_s = np.array([state.pi_i(i) for i in range(h)])
-    used = set().union(*allocation) if h else set()
-    advs, nodes, sp = _feasible_elements(prob)
-    heap = []
-    for i, v in zip(advs, nodes):
-        i, v = int(i), int(v)
-        g0 = float(sp[i, v])
-        heap.append((-_rate(g0, float(costs[i, v])), v, i))
-    heapq.heapify(heap)
-    while heap:
-        neg_r, u, i = heapq.heappop(heap)
-        if u in used:
-            continue
-        g = state.gain(u, i)
-        r = _rate(g, float(costs[i, u]))
-        if heap and r < -neg_r - _EPS:
-            heapq.heappush(heap, (-r, u, i))
-            continue
-        if spend[i] + costs[i, u] + pi_s[i] + g <= B[i] + _EPS:
-            state.add(u, i)
-            allocation[i].add(u)
-            used.add(u)
-            spend[i] += costs[i, u]
-            pi_s[i] += g
-    return allocation
+    ledger = Ledger(prob, allocation)
+    spend, pi, costs, caps = ledger.spend, ledger.pi, ledger.costs, ledger.caps
+
+    def overshoots(top):
+        # Cost alone already overshoots: the gain cannot help, and spend
+        # and π only grow, so the element could never be selected.
+        u, i = top[1], top[2]
+        return spend[i] + costs[i][u] + pi[i] > caps[i]
+
+    def visit(u, i, g):  # select if it fits, else drop the element
+        if ledger.fits(u, i, g):
+            ledger.select(u, i, g)
+
+    ledger.run(prob.initial_order("rate"), visit, by_rate=True, skip=overshoots)
+    return ledger.alloc

@@ -13,10 +13,12 @@ rows come back as Arrow batches. Two kernels share this harness:
 
 - ``standard``: vectorised Bernoulli draw over each frontier node's in-edges
   (O(indeg) per node).
-- ``subsim``: subset sampling in the spirit of SUBSIM [34] — a binomial
-  count + Floyd subset draw when a node's in-edge probabilities are all
-  equal (the Weighted-Cascade case), and sorted geometric skipping with
-  envelope rejection otherwise (O(E[#selected]) per node).
+- ``subsim``: subset sampling in the spirit of SUBSIM [34] — geometric
+  skipping over each node's in-edges sorted by descending probability,
+  thinning each hit by p_j/p_env against a running envelope (O(1 +
+  E[#selected]) per node). When the probabilities are all equal (the
+  Weighted-Cascade case) the thinning always accepts and draws nothing;
+  slices with more than a few expected hits use the standard draw.
 
 Both kernels draw from the *same distribution* over RR sets (tested), which
 is the property the paper relies on in Appendix D.2.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -198,17 +201,26 @@ def _run_rr_batch(
 
 
 # ---------------------------------------------------------------------------
-# RR collection (driver-side index over generated sets)
+# RR collection (driver-side CSR layouts over generated sets)
 # ---------------------------------------------------------------------------
+
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
 
 
 @dataclass
 class RRCollection:
-    """Indexed collection of RR sets for coverage-based revenue estimation.
+    """RR sets for coverage-based revenue estimation, in two CSR layouts.
 
-    ``index`` maps ``adv * n + node`` to the (start, end) slice of
-    ``sorted_rr`` holding the ids of the RR sets generated for ``adv`` that
-    contain ``node`` — the inverted index driving all greedy selection.
+    - RR-major: the members of RR set r are ``members[rr_ptr[r]:rr_ptr[r+1]]``
+      in generation order (root first).
+    - Key-major (the inverted index driving all greedy selection): the ids
+      of the RR sets generated for advertiser ``adv`` that contain ``node``
+      are ``rr_ids[key_ptr[k]:key_ptr[k+1]]`` with ``k = adv * n + node``,
+      in increasing order.
     """
 
     n: int
@@ -216,9 +228,26 @@ class RRCollection:
     cpe: np.ndarray
     n_rr: int
     rr_adv: np.ndarray  # (n_rr,)
-    sorted_rr: np.ndarray  # rr ids grouped by (adv, node) key
-    index: dict  # int key -> (start, end)
-    exploded: pd.DataFrame  # (rr_id, adv, node) — kept for oracle checks
+    rr_ptr: np.ndarray  # (n_rr + 1,)
+    members: np.ndarray  # node ids, RR-major
+    key_ptr: np.ndarray  # (h * n + 1,)
+    rr_ids: np.ndarray  # RR ids, key-major
+
+    @classmethod
+    def from_rows(cls, n, h, cpe, n_rr, rr_adv, rr_rows, node_rows):
+        """Index (rr_id, node) membership rows; rows of one RR set keep
+        their order."""
+        if np.any(rr_rows[1:] < rr_rows[:-1]):
+            order = np.argsort(rr_rows, kind="stable")
+            rr_rows, node_rows = rr_rows[order], node_rows[order]
+        rr_ptr = _ptr(np.bincount(rr_rows, minlength=n_rr))
+        key = rr_adv[rr_rows] * n + node_rows
+        key_ptr = _ptr(np.bincount(key, minlength=h * n))
+        rr_ids = rr_rows[np.argsort(key, kind="stable")]
+        return cls(
+            n, h, np.asarray(cpe, dtype=np.float64), n_rr, rr_adv,
+            rr_ptr, node_rows, key_ptr, rr_ids,
+        )
 
     @property
     def gamma(self) -> float:
@@ -229,68 +258,66 @@ class RRCollection:
         """π̃ per covered RR set: nΓ/|R| (Lemma 4.1)."""
         return self.n * self.gamma / self.n_rr
 
+    def rr_of_members(self) -> np.ndarray:
+        """The RR id of each entry of ``members``."""
+        return np.repeat(np.arange(self.n_rr, dtype=np.int64), np.diff(self.rr_ptr))
+
+    def members_of(self, ids: np.ndarray) -> np.ndarray:
+        """The members of the RR sets ``ids``, concatenated."""
+        starts = self.rr_ptr[ids]
+        lens = self.rr_ptr[ids + 1] - starts
+        offsets = (starts - lens.cumsum() + lens).repeat(lens)
+        return self.members[offsets + np.arange(len(offsets))]
+
+    @cached_property
+    def exploded(self) -> pd.DataFrame:
+        """(rr_id, adv, node) rows in RR-major order, built on first use."""
+        rr = self.rr_of_members()
+        return pd.DataFrame(
+            {"rr_id": rr, "adv": self.rr_adv[rr], "node": self.members}
+        )
+
     def rr_ids_for(self, node: int, adv: int) -> np.ndarray:
-        sl = self.index.get(adv * self.n + node)
-        if sl is None:
-            return _EMPTY
-        return self.sorted_rr[sl[0] : sl[1]]
+        k = adv * self.n + node
+        return self.rr_ids[self.key_ptr[k] : self.key_ptr[k + 1]]
 
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
-        key = (
-            self.exploded["adv"].to_numpy() * self.n
-            + self.exploded["node"].to_numpy()
-        )
-        counts = np.bincount(key, minlength=self.h * self.n)
-        return counts.reshape(self.h, self.n)
+        return np.diff(self.key_ptr).reshape(self.h, self.n)
 
     def merge(self, other: "RRCollection") -> "RRCollection":
-        """Concatenate two collections (progressive-sampling doubling)."""
+        """Append ``other``'s sets after ours (progressive-sampling doubling).
+
+        Every id of ``self`` precedes every shifted id of ``other``, so each
+        key's slice is ours followed by theirs: an O(N) interleave.
+        """
         assert self.n == other.n and self.h == other.h
-        shifted = other.exploded.copy()
-        shifted["rr_id"] = shifted["rr_id"].to_numpy() + self.n_rr
-        exploded = pd.concat([self.exploded, shifted], ignore_index=True)
-        rr_adv = np.concatenate([self.rr_adv, other.rr_adv])
-        return _index_collection(
-            self.n, self.h, self.cpe, self.n_rr + other.n_rr, rr_adv, exploded
+        a_cnt, b_cnt = np.diff(self.key_ptr), np.diff(other.key_ptr)
+        key_ptr = self.key_ptr + other.key_ptr
+        rr_ids = np.empty(len(self.rr_ids) + len(other.rr_ids), dtype=np.int64)
+        rr_ids[
+            np.arange(len(self.rr_ids)) + np.repeat(other.key_ptr[:-1], a_cnt)
+        ] = self.rr_ids
+        rr_ids[
+            np.arange(len(other.rr_ids)) + np.repeat(self.key_ptr[1:], b_cnt)
+        ] = other.rr_ids + self.n_rr
+        return RRCollection(
+            self.n,
+            self.h,
+            self.cpe,
+            self.n_rr + other.n_rr,
+            np.concatenate([self.rr_adv, other.rr_adv]),
+            np.concatenate([self.rr_ptr, other.rr_ptr[1:] + self.rr_ptr[-1]]),
+            np.concatenate([self.members, other.members]),
+            key_ptr,
+            rr_ids,
         )
 
 
-def _index_collection(
-    n: int,
-    h: int,
-    cpe: np.ndarray,
-    n_rr: int,
-    rr_adv: np.ndarray,
-    exploded: pd.DataFrame,
-) -> RRCollection:
-    key = exploded["adv"].to_numpy() * n + exploded["node"].to_numpy()
-    order = np.argsort(key, kind="stable")
-    sorted_rr = exploded["rr_id"].to_numpy()[order]
-    sorted_key = key[order]
-    uniq, starts = np.unique(sorted_key, return_index=True)
-    ends = np.append(starts[1:], len(sorted_key))
-    index = {
-        int(k): (int(s), int(e)) for k, s, e in zip(uniq, starts, ends)
-    }
-    return RRCollection(
-        n=n,
-        h=h,
-        cpe=np.asarray(cpe, dtype=np.float64),
-        n_rr=n_rr,
-        rr_adv=rr_adv,
-        sorted_rr=sorted_rr,
-        index=index,
-        exploded=exploded,
-    )
-
-
-def _assemble(
-    n: int, h: int, cpe: np.ndarray, n_rr: int, pdf: pd.DataFrame
-) -> RRCollection:
+def _assemble(n, h, cpe, n_rr, rr, adv, node) -> RRCollection:
     rr_adv = np.zeros(n_rr, dtype=np.int64)
-    rr_adv[pdf["rr_id"].to_numpy()] = pdf["adv"].to_numpy()
-    return _index_collection(n, h, cpe, n_rr, rr_adv, pdf)
+    rr_adv[rr] = adv
+    return RRCollection.from_rows(n, h, cpe, n_rr, rr_adv, rr, node)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +333,13 @@ def from_memberships(
     Used by tests to construct exact coverage instances (e.g. the paper's
     footnote-8 toy example) without sampling.
     """
-    rows_rr, rows_adv, rows_node = [], [], []
-    rr_adv = np.zeros(len(memberships), dtype=np.int64)
-    for rr_id, (adv, nodes) in enumerate(memberships):
-        rr_adv[rr_id] = adv
-        for v in nodes:
-            rows_rr.append(rr_id)
-            rows_adv.append(adv)
-            rows_node.append(int(v))
-    pdf = pd.DataFrame(
-        {
-            "rr_id": np.asarray(rows_rr, dtype=np.int64),
-            "adv": np.asarray(rows_adv, dtype=np.int64),
-            "node": np.asarray(rows_node, dtype=np.int64),
-        }
+    rr_adv = np.asarray([adv for adv, _ in memberships], dtype=np.int64)
+    sizes = [len(nodes) for _, nodes in memberships]
+    rr = np.repeat(np.arange(len(memberships), dtype=np.int64), sizes)
+    node = np.fromiter(
+        (int(v) for _, nodes in memberships for v in nodes), np.int64, len(rr)
     )
-    return _index_collection(
-        n, h, np.asarray(cpe, dtype=np.float64), len(memberships), rr_adv, pdf
-    )
+    return RRCollection.from_rows(n, h, cpe, len(memberships), rr_adv, rr, node)
 
 
 def generate_rr_local(
@@ -341,8 +357,7 @@ def generate_rr_local(
     rr, adv, node, _ = _run_rr_batch(
         np.arange(n_rr, dtype=np.int64), csr, w, seed, kernel, stamp_buf, 0
     )
-    pdf = pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
-    return _assemble(csr.n, csr.h, cpe, n_rr, pdf)
+    return _assemble(csr.n, csr.h, cpe, n_rr, rr, adv, node)
 
 
 def generate_rr_collection(
@@ -379,4 +394,6 @@ def generate_rr_collection(
     tasks = spark.range(0, n_rr, numPartitions=num_partitions)
     pdf = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toPandas()
     bc.unpersist()
-    return _assemble(csr.n, csr.h, cpe, n_rr, pdf)
+    cols = [pdf[c].to_numpy(dtype=np.int64) for c in ("rr_id", "adv", "node")]
+    del pdf
+    return _assemble(csr.n, csr.h, cpe, n_rr, *cols)

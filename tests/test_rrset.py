@@ -8,7 +8,9 @@ import pyspark.sql.functions as F
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
+from repro.baselines.tim import rr_width
 from repro.influence.rrset import (
+    RRCollection,
     from_memberships,
     generate_rr_collection,
     generate_rr_local,
@@ -161,3 +163,82 @@ def test_isolated_node_rr_is_singleton():
     roots2 = ex.groupby("rr_id")["node"].apply(set)
     for nodes in roots2:
         assert nodes in ({0}, {2}, {0, 1})  # node1's RR always pulls node0 (p=1)
+
+
+# ---------------------------------------------------------------------------
+# CSR layouts: RR-major (rr_ptr, members) and key-major (key_ptr, rr_ids)
+# ---------------------------------------------------------------------------
+
+
+def _layouts(rr):
+    return {
+        name: getattr(rr, name)
+        for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids")
+    }
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_merge_equals_indexing_concatenated_rows(small_csr, kernel):
+    a = generate_rr_local(small_csr, CPE, 700, seed=31, kernel=kernel)
+    b = generate_rr_local(small_csr, CPE, 500, seed=32, kernel=kernel)
+    ea, eb = a.exploded, b.exploded
+    rows = {
+        c: np.concatenate([ea[c].to_numpy(), eb[c].to_numpy() + (a.n_rr if c == "rr_id" else 0)])
+        for c in ("rr_id", "node")
+    }
+    rebuilt = RRCollection.from_rows(
+        a.n, a.h, CPE, 1200, np.concatenate([a.rr_adv, b.rr_adv]),
+        rows["rr_id"], rows["node"],
+    )
+    merged = a.merge(b)
+    assert merged.n_rr == rebuilt.n_rr == 1200
+    for name, arr in _layouts(rebuilt).items():
+        assert np.array_equal(_layouts(merged)[name], arr), name
+    pd.testing.assert_frame_equal(
+        merged.exploded, pd.concat([ea, eb.assign(rr_id=eb["rr_id"] + 700)], ignore_index=True)
+    )
+
+
+def test_merge_is_associative_on_layouts(small_csr):
+    a, b, c = (generate_rr_local(small_csr, CPE, 300, seed=s) for s in (33, 34, 35))
+    left, right = a.merge(b).merge(c), a.merge(b.merge(c))
+    for name, arr in _layouts(left).items():
+        assert np.array_equal(_layouts(right)[name], arr), name
+
+
+def test_rows_out_of_rr_order_are_regrouped():
+    """Rows may arrive in any RR order; each set keeps its members' order."""
+    rr_adv = np.array([1, 0, 1])
+    rr = np.array([2, 0, 2, 1, 0])
+    node = np.array([4, 3, 1, 0, 2])
+    c = RRCollection.from_rows(5, 2, [1.0, 1.0], 3, rr_adv, rr, node)
+    assert c.rr_ptr.tolist() == [0, 2, 3, 5]
+    assert c.members.tolist() == [3, 2, 0, 4, 1]
+    assert c.rr_ids_for(4, 1).tolist() == [2]
+    assert c.members_of(np.array([2, 0])).tolist() == [4, 1, 3, 2]
+
+
+def test_singleton_counts_and_width_match_exploded(small_csr):
+    rr = generate_rr_local(small_csr, CPE, 1500, seed=36)
+    ex = rr.exploded
+    counts = np.zeros((rr.h, rr.n), dtype=np.int64)
+    np.add.at(counts, (ex["adv"].to_numpy(), ex["node"].to_numpy()), 1)
+    assert np.array_equal(rr.singleton_cover_counts(), counts)
+    indeg = np.diff(small_csr.in_indptr)
+    width = ex.assign(w=indeg[ex["node"].to_numpy()]).groupby("rr_id")["w"].sum()
+    assert np.array_equal(rr_width(rr, small_csr), width.reindex(range(rr.n_rr)).to_numpy())
+
+
+def test_key_major_slices_are_sorted_rr_ids(small_csr):
+    rr = generate_rr_local(small_csr, CPE, 800, seed=37)
+    ex = rr.exploded
+    for (adv, node), grp in ex.groupby(["adv", "node"]):
+        got = rr.rr_ids_for(int(node), int(adv))
+        assert got.tolist() == sorted(grp["rr_id"].tolist())
+
+
+def test_rr_ids_for_absent_key_is_empty():
+    rr = from_memberships(6, 2, [1.0, 2.0], [(0, {0, 1}), (1, {1})])
+    for node, adv in ((5, 0), (0, 1), (5, 1)):
+        got = rr.rr_ids_for(node, adv)
+        assert isinstance(got, np.ndarray) and got.size == 0
