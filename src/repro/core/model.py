@@ -19,13 +19,13 @@ exhaustive allocation enumeration for ratio tests.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.celf import EPS, presorted, rates
 from repro.influence.rrset import RRCollection
+from repro.influence.spread import live_edge_worlds, reached
 
 
 class AllocState:
@@ -122,11 +122,7 @@ class CoverageRevenueModel(RevenueModel):
         return self._singleton
 
     def pi_of(self, i: int, nodes) -> float:
-        ids = [self.rr.rr_ids_for(int(u), i) for u in nodes]
-        ids = [a for a in ids if len(a)]
-        if not ids:
-            return 0.0
-        return float(len(np.unique(np.concatenate(ids)))) * self.factor
+        return float(self.rr.covered_count(i, nodes)) * self.factor
 
     def state(self, allocation=None) -> _CoverageState:
         return _CoverageState(self, allocation)
@@ -188,36 +184,18 @@ class ExactRevenueModel(RevenueModel):
         src = np.asarray(src)
         dst = np.asarray(dst)
         probs2d = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-        m = len(src)
-        assert m <= 14, "exact model is for tiny instances"
+        assert len(src) <= 14, "exact model is for tiny instances"
         self.worlds = []
         for i in range(self.h):
             row = probs2d[0] if probs2d.shape[0] == 1 else probs2d[i]
             p_ws, reaches = [], []
-            for world in range(1 << m):
-                p_world = 1.0
-                for e in range(m):
-                    p_world *= row[e] if (world >> e) & 1 else 1.0 - row[e]
-                if p_world == 0.0:
-                    continue
-                adj: dict[int, list[int]] = {}
-                for e in range(m):
-                    if (world >> e) & 1:
-                        adj.setdefault(int(src[e]), []).append(int(dst[e]))
-                reach = [0] * self.n
+            for p_world, adj in live_edge_worlds(src, dst, row):
+                reach = []
                 for v in range(self.n):
-                    seen = {v}
-                    q = deque([v])
-                    while q:
-                        x = q.popleft()
-                        for y in adj.get(x, ()):
-                            if y not in seen:
-                                seen.add(y)
-                                q.append(y)
                     mask = 0
-                    for x in seen:
+                    for x in reached(adj, [v]):
                         mask |= 1 << x
-                    reach[v] = mask
+                    reach.append(mask)
                 p_ws.append(p_world)
                 reaches.append(reach)
             self.worlds.append((np.asarray(p_ws), reaches))

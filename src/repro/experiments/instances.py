@@ -7,12 +7,12 @@ budget-to-reachable-revenue ratios are preserved.
 
 Building an instance runs the Spark substrate end-to-end: edge generation,
 TIC/WC probability materialisation (Spark SQL), CSR assembly, and singleton
-spread estimation from a dedicated RR collection (Spark mapInPandas),
-then attaches the seed-incentive costs.
+spread estimation from a dedicated RR collection (Spark mapInPandas, or
+the driver for small ones), then attaches the seed-incentive costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
@@ -37,9 +37,18 @@ from repro.influence.rrset import (
 )
 
 # Below this many RR sets, a Spark job's fixed overhead (~0.3 s) dwarfs the
-# work; generate on the driver with the identical kernels instead. The TIM
-# baselines' KPT-estimation batches in particular are tiny and frequent.
+# work; generate on the driver instead. The TIM baselines' KPT-estimation
+# batches in particular are tiny and frequent.
 _LOCAL_GEN_THRESHOLD = 20_000
+
+
+def _generate(spark, csr, cpe, n_rr, seed, kernel="standard") -> RRCollection:
+    """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed). Both paths return the
+    same collection; the size only picks the faster one."""
+    if n_rr <= _LOCAL_GEN_THRESHOLD:
+        return generate_rr_local(csr, cpe, n_rr, seed=seed, kernel=kernel)
+    return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
+
 
 # Paper Table 2 (LastFM at native scale; Flixster budgets scaled by n ratio
 # 6K/30K = 1/5). WC presets use uniform budgets as in §5.2.3.
@@ -108,13 +117,7 @@ class Instance:
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
 
         def gen(n_rr: int, seed: int) -> RRCollection:
-            if n_rr <= _LOCAL_GEN_THRESHOLD:
-                return generate_rr_local(
-                    self.csr, self.cpe, n_rr, seed=seed, kernel=kernel
-                )
-            return generate_rr_collection(
-                spark, self.csr, self.cpe, n_rr, seed=seed, kernel=kernel
-            )
+            return _generate(spark, self.csr, self.cpe, n_rr, seed, kernel)
 
         return gen
 
@@ -124,13 +127,7 @@ class Instance:
         def gen(adv: int, n_rr: int, seed: int) -> RRCollection:
             onehot = np.zeros(self.h)
             onehot[adv] = self.cpe[adv]
-            if n_rr <= _LOCAL_GEN_THRESHOLD:
-                return generate_rr_local(
-                    self.csr, onehot, n_rr, seed=seed, kernel=kernel
-                )
-            return generate_rr_collection(
-                spark, self.csr, onehot, n_rr, seed=seed, kernel=kernel
-            )
+            return _generate(spark, self.csr, onehot, n_rr, seed, kernel)
 
         return gen
 
@@ -183,13 +180,12 @@ def build_instance(
         cpe = np.asarray(cfg["cpes"], dtype=np.float64)
     if budget_override is not None:
         budgets = np.asarray(budget_override, dtype=np.float64)
-    csr = build_csr(n, src, dst, probs if shared else probs, h=h, shared_probs=shared)
+    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
     if n_sigma_rr is None:
         n_sigma_rr = min(20 * n, 200_000)
-    sig_rr = generate_rr_collection(
-        spark, csr, cpe, n_sigma_rr, seed=cfg["seed"] + 77
+    sigma1 = singleton_spreads(
+        _generate(spark, csr, cpe, n_sigma_rr, cfg["seed"] + 77)
     )
-    sigma1 = singleton_spreads(sig_rr)
     costs = seed_costs(sigma1, alpha, cost_model)
     return Instance(
         name=preset,
@@ -233,8 +229,6 @@ def get_instance(
     base = _INSTANCE_CACHE[base_key]
     if base.alpha == alpha and base.cost_model == cost_model:
         return base
-    from dataclasses import replace
-
     return replace(
         base,
         costs=seed_costs(base.sigma1, alpha, cost_model),
@@ -249,7 +243,5 @@ def get_eval_rr(
     """Independent evaluation collection (the paper's 10^7-RR analogue)."""
     key = (inst.name, inst.n, n_eval, seed)
     if key not in _EVAL_CACHE:
-        _EVAL_CACHE[key] = generate_rr_collection(
-            spark, inst.csr, inst.cpe, n_eval, seed=seed
-        )
+        _EVAL_CACHE[key] = _generate(spark, inst.csr, inst.cpe, n_eval, seed)
     return _EVAL_CACHE[key]

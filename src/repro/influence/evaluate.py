@@ -21,14 +21,9 @@ def covered_counts(rr: RRCollection, allocation) -> np.ndarray:
     (S_1, …, S_h). An RR set generated for advertiser i is covered iff it
     intersects S_i.
     """
-    out = np.zeros(rr.h, dtype=np.int64)
-    for i in range(rr.h):
-        ids = [rr.rr_ids_for(int(u), i) for u in allocation[i]]
-        if ids:
-            out[i] = len(np.unique(np.concatenate(ids))) if any(
-                len(a) for a in ids
-            ) else 0
-    return out
+    return np.array(
+        [rr.covered_count(i, allocation[i]) for i in range(rr.h)], dtype=np.int64
+    )
 
 
 def evaluate_revenue(rr: RRCollection, allocation) -> tuple[float, np.ndarray]:

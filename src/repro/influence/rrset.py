@@ -6,10 +6,17 @@ reverse BFS from a uniformly random root with advertiser-i edge
 probabilities. Lemma 4.1: ``π(S⃗) = nΓ·E[Λ(S⃗, R)]``, so coverage over a
 collection estimates revenue with a single, identically-distributed sample.
 
+RR set k is a pure function of (graph, cpe, kernel, seed, k): ids are cut
+into fixed blocks of ``_BLOCK``, and each block has its own RNG stream seeded
+with ``[seed, block_start]``. A block always draws a full block of
+advertisers and roots, so ``gen(n₁, s)`` is a prefix of ``gen(n₂, s)`` for
+n₁ ≤ n₂, and the way the blocks are split into tasks changes nothing.
+
 Generation is the dominant cost of every RR-set algorithm (Appendix C), so
-it is the distributed piece: a task DataFrame (one row per RR id) flows
+it is the distributed piece: a task DataFrame (one row per id block) flows
 through ``mapInPandas`` with the CSR graph broadcast to executors; member
-rows come back as Arrow batches. Two kernels share this harness:
+rows come back as Arrow batches. The driver-local path runs the same block
+loop, so both return identical collections. Two kernels share this harness:
 
 - ``standard``: vectorised Bernoulli draw over each frontier node's in-edges
   (O(indeg) per node).
@@ -146,57 +153,66 @@ _KERNELS = {
 }
 
 
-def _run_rr_batch(
-    ids: np.ndarray,
+# RR ids per RNG stream; tasks are whole blocks.
+_BLOCK = 1024
+
+
+def _n_blocks(n_rr: int) -> int:
+    return -(-n_rr // _BLOCK)
+
+
+def _run_rr_blocks(
+    blocks: np.ndarray,
+    n_rr: int,
     g: CSRGraph,
     cpe_w: np.ndarray,
     seed: int,
     kernel: str,
-    stamp_buf: np.ndarray,
-    stamp0: int,
 ):
-    """Generate RR sets for a batch of task ids; returns exploded arrays.
+    """Generate the RR sets of id blocks ``blocks`` (ids below ``n_rr``);
+    returns (rr_id, adv, node) rows in id order, root first in each set.
 
-    Deterministic in (seed, first id of batch): one RNG stream drives the
-    advertiser draws, roots, and all BFS coins of the batch.
+    Block b is deterministic in (seed, b): one RNG stream seeded with
+    ``[seed, b * _BLOCK]`` draws a full block of advertisers and roots, then
+    all BFS coins of its sets in id order. One stamp buffer serves the call.
     """
     sample = _KERNELS[kernel]
-    rng = np.random.default_rng([seed, int(ids[0])])
-    pool = _UniformPool(rng)
-    n_tasks = len(ids)
-    advs = rng.choice(g.h, size=n_tasks, p=cpe_w)
-    roots = rng.integers(0, g.n, size=n_tasks)
+    stamp_buf = np.zeros(g.n, dtype=np.int64)
+    stamp = 0
     out_rr: list[int] = []
     out_adv: list[int] = []
     out_node: list[int] = []
-    stamp = stamp0
-    for t in range(n_tasks):
-        stamp += 1
-        rr_id = int(ids[t])
-        adv = int(advs[t])
-        adv_row = 0 if g.shared_probs else adv
-        root = int(roots[t])
-        stamp_buf[root] = stamp
-        members = [root]
-        frontier = [root]
-        while frontier:
-            new: list[int] = []
-            for v in frontier:
-                for w in sample(v, adv_row, g, rng, pool):
-                    w = int(w)
-                    if stamp_buf[w] != stamp:
-                        stamp_buf[w] = stamp
-                        new.append(w)
-            members.extend(new)
-            frontier = new
-        out_rr.extend([rr_id] * len(members))
-        out_adv.extend([adv] * len(members))
-        out_node.extend(members)
+    for b in blocks:
+        first = int(b) * _BLOCK
+        rng = np.random.default_rng([seed, first])
+        pool = _UniformPool(rng)
+        advs = rng.choice(g.h, size=_BLOCK, p=cpe_w)
+        roots = rng.integers(0, g.n, size=_BLOCK)
+        for t in range(min(_BLOCK, n_rr - first)):
+            stamp += 1
+            adv = int(advs[t])
+            adv_row = 0 if g.shared_probs else adv
+            root = int(roots[t])
+            stamp_buf[root] = stamp
+            members = [root]
+            frontier = [root]
+            while frontier:
+                new: list[int] = []
+                for v in frontier:
+                    for w in sample(v, adv_row, g, rng, pool):
+                        w = int(w)
+                        if stamp_buf[w] != stamp:
+                            stamp_buf[w] = stamp
+                            new.append(w)
+                members.extend(new)
+                frontier = new
+            out_rr.extend([first + t] * len(members))
+            out_adv.extend([adv] * len(members))
+            out_node.extend(members)
     return (
         np.asarray(out_rr, dtype=np.int64),
         np.asarray(out_adv, dtype=np.int64),
         np.asarray(out_node, dtype=np.int64),
-        stamp,
     )
 
 
@@ -281,6 +297,11 @@ class RRCollection:
         k = adv * self.n + node
         return self.rr_ids[self.key_ptr[k] : self.key_ptr[k + 1]]
 
+    def covered_count(self, adv: int, nodes) -> int:
+        """|{R for adv : R ∩ nodes ≠ ∅}| — advertiser adv's sets hit by nodes."""
+        ids = [self.rr_ids_for(int(u), adv) for u in nodes]
+        return len(np.unique(np.concatenate(ids))) if ids else 0
+
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
         return np.diff(self.key_ptr).reshape(self.h, self.n)
@@ -350,14 +371,12 @@ def generate_rr_local(
     seed: int,
     kernel: str = "standard",
 ) -> RRCollection:
-    """Driver-only generation — same kernels, no Spark. For tiny tests."""
+    """Driver-only generation: the block loop with no Spark job."""
     cpe = np.asarray(cpe, dtype=np.float64)
-    w = cpe / cpe.sum()
-    stamp_buf = np.zeros(csr.n, dtype=np.int64)
-    rr, adv, node, _ = _run_rr_batch(
-        np.arange(n_rr, dtype=np.int64), csr, w, seed, kernel, stamp_buf, 0
+    rows = _run_rr_blocks(
+        np.arange(_n_blocks(n_rr)), n_rr, csr, cpe / cpe.sum(), seed, kernel
     )
-    return _assemble(csr.n, csr.h, cpe, n_rr, rr, adv, node)
+    return _assemble(csr.n, csr.h, cpe, n_rr, *rows)
 
 
 def generate_rr_collection(
@@ -370,28 +389,24 @@ def generate_rr_collection(
     kernel: str = "standard",
     num_partitions: int | None = None,
 ) -> RRCollection:
-    """Distributed generation: task DataFrame → mapInPandas → Arrow collect."""
+    """Distributed generation: block-id DataFrame → mapInPandas → Arrow
+    collect. Returns the same collection as ``generate_rr_local``."""
     cpe = np.asarray(cpe, dtype=np.float64)
-    w = cpe / cpe.sum()
+    n_blocks = _n_blocks(n_rr)
     if num_partitions is None:
         par = spark.sparkContext.defaultParallelism
-        num_partitions = max(1, min(par * 2, n_rr // 200 + 1))
-    bc = spark.sparkContext.broadcast((csr, w))
+        num_partitions = max(1, min(par * 2, n_blocks))
+    bc = spark.sparkContext.broadcast((csr, cpe / cpe.sum()))
 
     def gen(batches):
         g, weights = bc.value
-        stamp_buf = np.zeros(g.n, dtype=np.int64)
-        stamp = 0
         for b in batches:
-            ids = b["id"].to_numpy()
-            if len(ids) == 0:
-                continue
-            rr, adv, node, stamp = _run_rr_batch(
-                ids, g, weights, seed, kernel, stamp_buf, stamp
+            rr, adv, node = _run_rr_blocks(
+                b["id"].to_numpy(), n_rr, g, weights, seed, kernel
             )
             yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
 
-    tasks = spark.range(0, n_rr, numPartitions=num_partitions)
+    tasks = spark.range(0, n_blocks, numPartitions=num_partitions)
     pdf = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toPandas()
     bc.unpersist()
     cols = [pdf[c].to_numpy(dtype=np.int64) for c in ("rr_id", "adv", "node")]

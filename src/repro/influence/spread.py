@@ -1,7 +1,8 @@
 """Influence-spread computation three ways (cross-validated in tests).
 
-- ``exact_spread_enum``: exact σ by enumerating all 2^m live-edge worlds —
-  ground truth on tiny graphs, used to certify the other two.
+- ``exact_spread_enum``: exact σ by enumerating all 2^m live-edge worlds
+  (``live_edge_worlds``, shared with the exact revenue model) — ground
+  truth on tiny graphs, used to certify the other two.
 - ``mc_spread_local``: forward IC Monte-Carlo on the driver (out-CSR).
 - ``mc_spread_spark``: Pregel-style forward propagation as iterative
   DataFrame joins — the distributed evaluation path. Edge coin flips are
@@ -20,6 +21,37 @@ from pyspark.sql import SparkSession
 from repro.graphs.csr import CSRGraph
 
 
+def live_edge_worlds(src, dst, probs):
+    """Yield (probability, live adjacency) of each live-edge world, worlds
+    in bitmask order (bit e set = edge e live); zero-probability worlds are
+    skipped. O(2^m) — tiny graphs only."""
+    m = len(src)
+    for world in range(1 << m):
+        p_world = 1.0
+        for e in range(m):
+            p_world *= probs[e] if (world >> e) & 1 else (1.0 - probs[e])
+        if p_world == 0.0:
+            continue
+        adj: dict[int, list[int]] = {}
+        for e in range(m):
+            if (world >> e) & 1:
+                adj.setdefault(int(src[e]), []).append(int(dst[e]))
+        yield p_world, adj
+
+
+def reached(adj: dict, sources) -> set:
+    """Nodes reachable from ``sources`` over adjacency ``adj`` (BFS)."""
+    seen = set(sources)
+    q = deque(seen)
+    while q:
+        v = q.popleft()
+        for w in adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                q.append(w)
+    return seen
+
+
 def exact_spread_enum(
     n: int,
     src: np.ndarray,
@@ -28,32 +60,13 @@ def exact_spread_enum(
     seeds,
 ) -> float:
     """Exact expected spread by live-edge enumeration. O(2^m) — tiny only."""
-    m = len(src)
-    assert m <= 20, "exact enumeration is for tiny graphs"
+    assert len(src) <= 20, "exact enumeration is for tiny graphs"
     seeds = list(seeds)
     if not seeds:
         return 0.0
     total = 0.0
-    for world in range(1 << m):
-        live = [(world >> e) & 1 for e in range(m)]
-        p_world = 1.0
-        for e in range(m):
-            p_world *= probs[e] if live[e] else (1.0 - probs[e])
-        if p_world == 0.0:
-            continue
-        adj: dict[int, list[int]] = {}
-        for e in range(m):
-            if live[e]:
-                adj.setdefault(int(src[e]), []).append(int(dst[e]))
-        seen = set(seeds)
-        q = deque(seeds)
-        while q:
-            v = q.popleft()
-            for w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    q.append(w)
-        total += p_world * len(seen)
+    for p_world, adj in live_edge_worlds(src, dst, probs):
+        total += p_world * len(reached(adj, seeds))
     return total
 
 

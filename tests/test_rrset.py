@@ -10,6 +10,7 @@ from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
 from repro.baselines.tim import rr_width
 from repro.influence.rrset import (
+    _BLOCK,
     RRCollection,
     from_memberships,
     generate_rr_collection,
@@ -125,23 +126,61 @@ def test_subsim_matches_standard_distribution(request, fixture):
     assert np.abs(s1 - s2).max() / s1.max() < 0.1
 
 
-def test_spark_generation_matches_local_statistics(spark, small_csr):
-    loc = generate_rr_local(small_csr, CPE, 20000, seed=11)
-    dist = generate_rr_collection(spark, small_csr, CPE, 20000, seed=11)
-    s1, s2 = singleton_spreads(loc), singleton_spreads(dist)
-    assert np.abs(s1 - s2).max() / s1.max() < 0.1
-    frac1 = np.bincount(loc.rr_adv, minlength=3) / loc.n_rr
-    frac2 = np.bincount(dist.rr_adv, minlength=3) / dist.n_rr
-    assert np.allclose(frac1, frac2, atol=0.02)
+LAYOUT = ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids")
 
 
-def test_spark_generation_deterministic(spark, small_csr):
-    a = generate_rr_collection(spark, small_csr, CPE, 2000, seed=12, num_partitions=8)
-    b = generate_rr_collection(spark, small_csr, CPE, 2000, seed=12, num_partitions=8)
-    pd.testing.assert_frame_equal(
-        a.exploded.sort_values(["rr_id", "node"]).reset_index(drop=True),
-        b.exploded.sort_values(["rr_id", "node"]).reset_index(drop=True),
+def assert_same_collection(a, b):
+    assert a.n_rr == b.n_rr
+    for name in LAYOUT:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
+
+
+# Not a multiple of the block size: the last block is cut short.
+N_EXACT = 5000
+
+
+@pytest.fixture(scope="module")
+def local_rr(small_csr):
+    return {
+        k: generate_rr_local(small_csr, CPE, N_EXACT, seed=12, kernel=k)
+        for k in ("standard", "subsim")
+    }
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+@pytest.mark.parametrize("batch", [1, 10000])
+@pytest.mark.parametrize("num_partitions", [1, 3, 8])
+def test_spark_generation_equals_local(
+    spark, small_csr, local_rr, kernel, batch, num_partitions
+):
+    """RR set k depends on (graph, cpe, kernel, seed, k) only: no partition
+    count or Arrow batch size changes the collection."""
+    assert N_EXACT % _BLOCK
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, str(batch))
+    try:
+        dist = generate_rr_collection(
+            spark, small_csr, CPE, N_EXACT, seed=12, kernel=kernel,
+            num_partitions=num_partitions,
+        )
+    finally:
+        spark.conf.set(key, old)
+    assert_same_collection(dist, local_rr[kernel])
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_generation_is_prefix_closed(small_csr, local_rr, kernel):
+    """gen(n₁, s) is the first n₁ sets of gen(n₂, s)."""
+    full = local_rr[kernel]
+    part = generate_rr_local(small_csr, CPE, N_EXACT // 2, seed=12, kernel=kernel)
+    ids = np.arange(part.n_rr)
+    prefix = RRCollection.from_rows(
+        full.n, full.h, CPE, part.n_rr, full.rr_adv[ids],
+        np.repeat(ids, np.diff(full.rr_ptr[: part.n_rr + 1])),
+        full.members_of(ids),
     )
+    assert_same_collection(part, prefix)
 
 
 def test_from_memberships():
