@@ -7,8 +7,8 @@ budget-to-reachable-revenue ratios are preserved.
 
 Building an instance runs the Spark substrate end-to-end: edge generation,
 TIC/WC probability materialisation (Spark SQL), CSR assembly, and singleton
-spread estimation from a dedicated RR collection (Spark mapInPandas, or
-the driver for small ones), then attaches the seed-incentive costs.
+spread estimation from a dedicated RR collection (on the driver, or Spark
+mapInPandas for large ones), then attaches the seed-incentive costs.
 """
 from __future__ import annotations
 
@@ -31,21 +31,34 @@ from repro.graphs.tic import (
 )
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
+    _BLOCK,
     RRCollection,
     generate_rr_collection,
     generate_rr_local,
 )
 
-# Below this many RR sets, a Spark job's fixed overhead (~0.3 s) dwarfs the
-# work; generate on the driver instead. The TIM baselines' KPT-estimation
-# batches in particular are tiny and frequent.
-_LOCAL_GEN_THRESHOLD = 20_000
+# Above this many expected members (sets × mean width) Spark's fan-out beats
+# the driver: its fixed cost (job launch, broadcast, Arrow collect) is ~1 s,
+# its per-member cost under half the driver kernel's. The crossover tracks
+# members, not sets. Measured on a 4-vCPU VM, `local[4]`, warm session,
+# seconds local / Spark:
+#
+#   graph (mean width)                20K sets     100K         400K         1M
+#   flixster_lite (4.6)               0.10 / 1.08  0.55 / 1.36  2.08 / 1.93  4.62 / 3.40
+#   WC, livejournal-shaped (15.5)     0.40 / 1.00  2.41 / 1.76  8.68 / 4.91  —
+#
+# i.e. parity at ~1.8M members on flixster and ~0.9M on the WC graph.
+_SPARK_MIN_MEMBERS = 1_500_000
 
 
 def _generate(spark, csr, cpe, n_rr, seed, kernel="standard") -> RRCollection:
     """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed). Both paths return the
-    same collection; the size only picks the faster one."""
-    if n_rr <= _LOCAL_GEN_THRESHOLD:
+    same collection; the expected member count, read off block 0 made on the
+    driver, only picks the faster one."""
+    head = generate_rr_local(csr, cpe, min(n_rr, _BLOCK), seed=seed, kernel=kernel)
+    if n_rr <= _BLOCK:
+        return head
+    if n_rr * len(head.members) <= _SPARK_MIN_MEMBERS * head.n_rr:
         return generate_rr_local(csr, cpe, n_rr, seed=seed, kernel=kernel)
     return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
 

@@ -86,21 +86,19 @@ def build_csr(
     out_indices = dst[out_order].astype(np.int64)
     out_probs = probs2d[:, out_order]
 
-    rows = in_probs.shape[0]
-    in_probs_sorted = np.empty_like(in_probs)
-    in_indices_sorted = np.empty((rows, m), dtype=np.int64)
-    in_equal_prob = np.zeros((rows, n), dtype=bool)
-    for r in range(rows):
-        for v in range(n):
-            lo, hi = in_indptr[v], in_indptr[v + 1]
-            if hi == lo:
-                in_equal_prob[r, v] = True
-                continue
-            sl = in_probs[r, lo:hi]
-            order = np.argsort(-sl, kind="stable")
-            in_probs_sorted[r, lo:hi] = sl[order]
-            in_indices_sorted[r, lo:hi] = in_indices[lo:hi][order]
-            in_equal_prob[r, v] = bool(sl.max() - sl.min() < 1e-15)
+    # SUBSIM auxiliaries: each in-slice sorted by descending probability
+    # (stable, so ties keep in-CSR order), and the equal-probability flag.
+    segment = np.repeat(np.arange(n), np.diff(in_indptr))
+    order = np.stack([np.lexsort((-row, segment)) for row in in_probs])
+    in_probs_sorted = np.take_along_axis(in_probs, order, axis=1)
+    in_indices_sorted = in_indices[order]
+    in_equal_prob = np.ones((in_probs.shape[0], n), dtype=bool)
+    nonempty = np.flatnonzero(np.diff(in_indptr))
+    starts = in_indptr[nonempty]
+    spread = np.maximum.reduceat(in_probs, starts, axis=1) - np.minimum.reduceat(
+        in_probs, starts, axis=1
+    )
+    in_equal_prob[:, nonempty] = spread < 1e-15
 
     return CSRGraph(
         n=n,

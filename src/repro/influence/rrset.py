@@ -16,23 +16,27 @@ Generation is the dominant cost of every RR-set algorithm (Appendix C), so
 it is the distributed piece: a task DataFrame (one row per id block) flows
 through ``mapInPandas`` with the CSR graph broadcast to executors; member
 rows come back as Arrow batches. The driver-local path runs the same block
-loop, so both return identical collections. Two kernels share this harness:
+loop, so both return identical collections.
 
-- ``standard``: vectorised Bernoulli draw over each frontier node's in-edges
-  (O(indeg) per node).
-- ``subsim``: subset sampling in the spirit of SUBSIM [34] — geometric
-  skipping over each node's in-edges sorted by descending probability,
-  thinning each hit by p_j/p_env against a running envelope (O(1 +
-  E[#selected]) per node). When the probabilities are all equal (the
-  Weighted-Cascade case) the thinning always accepts and draws nothing;
-  slices with more than a few expected hits use the standard draw.
+A block is one level-synchronous reverse BFS over all of its sets: the
+frontier is a pair of arrays (set slot, node), and each level is a single
+batched kernel call over the whole frontier. Two kernels share this harness:
+
+- ``standard``: every in-edge of every frontier entry, gathered with
+  ``np.repeat`` over ``in_indptr``, gets one uniform draw (O(indeg) per
+  entry).
+- ``subsim``: subset sampling in the spirit of SUBSIM [34] — batched
+  geometric skips over each entry's in-edges sorted by descending
+  probability, thinning each hit by p_j/p_env against a per-entry running
+  envelope (O(1 + E[#selected]) per entry). When the probabilities are all
+  equal (the Weighted-Cascade case) the thinning always accepts and draws
+  nothing; entries with more than a few expected hits use the standard draw.
 
 Both kernels draw from the *same distribution* over RR sets (tested), which
 is the property the paper relies on in Appendix D.2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,108 +52,82 @@ from repro.graphs.csr import CSRGraph
 # ---------------------------------------------------------------------------
 
 
-def _sample_in_edges_standard(
-    v: int, adv_row: int, g: CSRGraph, rng: np.random.Generator, pool=None
-) -> np.ndarray:
-    """Activated in-neighbours of v: independent Bernoulli per in-edge."""
-    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-    if hi == lo:
-        return _EMPTY
-    pr = g.in_probs[adv_row, lo:hi]
-    u = rng.random(hi - lo)
-    return g.in_indices[lo:hi][u < pr]
+def _slice_positions(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """The positions ``lo[i] .. lo[i] + cnt[i] - 1`` of every slice i,
+    concatenated."""
+    starts = np.cumsum(cnt) - cnt
+    return np.repeat(lo - starts, cnt) + np.arange(cnt.sum())
+
+
+def _expand_standard(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
+    """Activated in-neighbours of a frontier: one uniform draw per in-edge of
+    every frontier entry (set slot ``fs``, node ``fv``, probability row
+    ``rows``). Returns the (slot, in-neighbour) hits."""
+    lo = g.in_indptr[fv]
+    cnt = g.in_indptr[fv + 1] - lo
+    e = _slice_positions(lo, cnt)
+    hit = rng.random(len(e)) < g.in_probs[np.repeat(rows, cnt), e]
+    return np.repeat(fs, cnt)[hit], g.in_indices[e[hit]]
+
+
+# Above this expected number of envelope hits, an entry takes the standard
+# draw: one vectorised pass over its slice beats a skipping loop that runs
+# once per hit (bench_rrgen.py: without it, SUBSIM is 2.3-2.6x slower on the
+# TIC cases and 1.25x on the WC one).
+_SUBSIM_HIT_CUTOFF = 4.0
+
+
+def _expand_subsim(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
+    """Activated in-neighbours of a frontier via subset sampling (SUBSIM-style).
+
+    Each entry walks its in-edge slice sorted by descending probability with
+    geometric skips: a position is an envelope hit with probability p_env
+    (the probability of the entry's last hit, an upper bound on every later
+    one), and a hit survives thinning with p_j/p_env, so each position is
+    selected with exactly p_j, independently. Under equal probabilities (the
+    Weighted-Cascade case) the thinning always accepts and draws nothing.
+    One pass of the loop advances every live entry to its next hit; work is
+    O(1 + #hits) per entry instead of O(indeg). Entries expecting more than
+    ``_SUBSIM_HIT_CUTOFF`` hits take the standard draw instead.
+    """
+    lo = g.in_indptr[fv]
+    d = g.in_indptr[fv + 1] - lo
+    k = np.flatnonzero(d)
+    p_env = g.in_probs_sorted[rows[k], lo[k]]
+    dense = p_env * d[k] > _SUBSIM_HIT_CUTOFF
+    kd = k[dense]
+    hs, hv = _expand_standard(fs[kd], fv[kd], rows[kd], g, rng)
+    out_s, out_v = [hs], [hv]
+    light = ~dense & (p_env > 0.0)
+    k, p_env = k[light], p_env[light]
+    fs, lo, d, rows = fs[k], lo[k], d[k], rows[k]
+    equal = g.in_equal_prob[rows, fv[k]]
+    pos = np.zeros(len(k), dtype=np.int64)
+    with np.errstate(divide="ignore"):  # p_env = 1: log1p(-1) = -inf, no skip
+        while len(fs):
+            skip = np.log1p(-rng.random(len(fs))) / np.log1p(-p_env)
+            j = pos + np.minimum(skip, d).astype(np.int64)
+            hit = j < d
+            e = lo + np.minimum(j, d - 1)
+            pj = g.in_probs_sorted[rows, e]
+            thin = hit & ~equal & (pj < p_env)
+            keep = hit & ~thin
+            keep[thin] = rng.random(np.count_nonzero(thin)) < pj[thin] / p_env[thin]
+            out_s.append(fs[keep])
+            out_v.append(g.in_indices_sorted[rows[keep], e[keep]])
+            p_env = np.where(thin, pj, p_env)
+            pos = j + 1
+            live = np.flatnonzero(hit & (pos < d) & (p_env > 0.0))
+            fs, lo, d, rows = fs[live], lo[live], d[live], rows[live]
+            p_env, equal, pos = p_env[live], equal[live], pos[live]
+    return np.concatenate(out_s), np.concatenate(out_v)
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-
-class _UniformPool:
-    """Block-drawn uniforms with scalar reads — scalar Generator calls are
-    ~10× slower than amortised block draws, and the SUBSIM loop is all
-    scalar draws."""
-
-    __slots__ = ("rng", "buf", "pos")
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 14):
-        self.rng = rng
-        self.buf = rng.random(block)
-        self.pos = 0
-
-    def next(self) -> float:
-        buf, pos = self.buf, self.pos
-        if pos >= len(buf):
-            self.buf = buf = self.rng.random(len(buf))
-            self.pos = pos = 0
-        self.pos = pos + 1
-        return buf[pos]
-
-
-# Above this expected number of envelope hits, vectorised Bernoulli beats the
-# scalar skipping loop (numpy does O(d) work at C speed; the loop does
-# O(1 + d·p̄) at Python speed).
-_SUBSIM_HIT_CUTOFF = 4.0
-
-
-def _sample_in_edges_subsim(
-    v: int, adv_row: int, g: CSRGraph, rng: np.random.Generator, pool: _UniformPool
-) -> np.ndarray:
-    """Activated in-neighbours of v via subset sampling (SUBSIM-style).
-
-    Sorted-descending envelope with geometric skipping: position j is an
-    envelope hit with probability p_env (the max of the remaining probs),
-    and a hit survives thinning with p_j/p_env, so each position is selected
-    with exactly p_j, independently. Under equal probabilities (the
-    Weighted-Cascade case) the thinning always accepts. Geometric jumps are
-    drawn by inversion from the uniform pool. Work is O(1 + #hits) instead
-    of O(indeg); dense high-probability slices fall back to the vectorised
-    kernel (hybrid cutoff), which SUBSIM's grouping also does in spirit.
-    """
-    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-    d = hi - lo
-    if d == 0:
-        return _EMPTY
-    probs = g.in_probs_sorted[adv_row]
-    p_first = probs[lo]
-    if p_first <= 0.0:
-        return _EMPTY
-    if p_first * d > _SUBSIM_HIT_CUTOFF:
-        return _sample_in_edges_standard(v, adv_row, g, rng)
-    idx = g.in_indices_sorted[adv_row]
-    equal = g.in_equal_prob[adv_row, v]
-    if equal and p_first >= 1.0:
-        return idx[lo:hi]
-    out: list[int] = []
-    pos = 0
-    p_env = p_first
-    log1m = math.log1p(-p_env) if p_env < 1.0 else None
-    while pos < d:
-        if p_env >= 1.0:
-            j = pos
-        else:
-            u = 1.0 - pool.next()  # in (0, 1]
-            j = pos + int(math.log(u) / log1m)  # geometric(p_env) - 1 skips
-        if j >= d:
-            break
-        if equal:
-            out.append(idx[lo + j])
-        else:
-            pj = probs[lo + j]
-            if pj >= p_env or pool.next() < pj / p_env:
-                out.append(idx[lo + j])
-            if pj < p_env:
-                p_env = pj if pj > 0.0 else 0.0
-                if p_env <= 0.0:
-                    break
-                log1m = math.log1p(-p_env) if p_env < 1.0 else None
-        pos = j + 1
-    if not out:
-        return _EMPTY
-    return np.asarray(out, dtype=np.int64)
-
-
 _KERNELS = {
-    "standard": _sample_in_edges_standard,
-    "subsim": _sample_in_edges_subsim,
+    "standard": _expand_standard,
+    "subsim": _expand_subsim,
 }
 
 
@@ -170,50 +148,51 @@ def _run_rr_blocks(
     kernel: str,
 ):
     """Generate the RR sets of id blocks ``blocks`` (ids below ``n_rr``);
-    returns (rr_id, adv, node) rows in id order, root first in each set.
+    returns (rr_id, adv, node) rows in id order, root first in each set, then
+    the members level by level.
 
     Block b is deterministic in (seed, b): one RNG stream seeded with
     ``[seed, b * _BLOCK]`` draws a full block of advertisers and roots, then
-    all BFS coins of its sets in id order. One stamp buffer serves the call.
+    runs one level-synchronous reverse BFS over all ``_BLOCK`` sets: the
+    frontier is a pair of arrays (set slot, node), each level is one kernel
+    call over the whole frontier, and new members are deduplicated against
+    the block's visited keys ``slot * n + node``. The block is always
+    simulated in full and cut at ``n_rr`` afterwards, so a set's coins never
+    depend on how many ids of its block were asked for.
     """
-    sample = _KERNELS[kernel]
-    stamp_buf = np.zeros(g.n, dtype=np.int64)
-    stamp = 0
-    out_rr: list[int] = []
-    out_adv: list[int] = []
-    out_node: list[int] = []
+    expand = _KERNELS[kernel]
+    n = g.n
+    slots = np.arange(_BLOCK, dtype=np.int64)
+    # Larger than every key: keeps searchsorted inside the visited array.
+    sentinel = np.array([_BLOCK * n], dtype=np.int64)
+    out_rr, out_adv, out_node = [], [], []
     for b in blocks:
         first = int(b) * _BLOCK
         rng = np.random.default_rng([seed, first])
-        pool = _UniformPool(rng)
         advs = rng.choice(g.h, size=_BLOCK, p=cpe_w)
-        roots = rng.integers(0, g.n, size=_BLOCK)
-        for t in range(min(_BLOCK, n_rr - first)):
-            stamp += 1
-            adv = int(advs[t])
-            adv_row = 0 if g.shared_probs else adv
-            root = int(roots[t])
-            stamp_buf[root] = stamp
-            members = [root]
-            frontier = [root]
-            while frontier:
-                new: list[int] = []
-                for v in frontier:
-                    for w in sample(v, adv_row, g, rng, pool):
-                        w = int(w)
-                        if stamp_buf[w] != stamp:
-                            stamp_buf[w] = stamp
-                            new.append(w)
-                members.extend(new)
-                frontier = new
-            out_rr.extend([first + t] * len(members))
-            out_adv.extend([adv] * len(members))
-            out_node.extend(members)
-    return (
-        np.asarray(out_rr, dtype=np.int64),
-        np.asarray(out_adv, dtype=np.int64),
-        np.asarray(out_node, dtype=np.int64),
-    )
+        roots = rng.integers(0, n, size=_BLOCK)
+        rows = np.zeros_like(advs) if g.shared_probs else advs
+        visited = np.concatenate([slots * n + roots, sentinel])
+        level_s, level_v = [slots], [roots]
+        fs, fv = slots, roots
+        while len(fs):
+            hs, hv = expand(fs, fv, rows[fs], g, rng)
+            keys = np.unique(hs * n + hv)
+            new = keys[visited[np.searchsorted(visited, keys)] != keys]
+            visited = np.sort(np.concatenate([visited, new]))
+            fs, fv = np.divmod(new, n)
+            level_s.append(fs)
+            level_v.append(fv)
+        s, v = np.concatenate(level_s), np.concatenate(level_v)
+        order = np.argsort(s, kind="stable")
+        s, v = s[order], v[order]
+        cut = np.searchsorted(s, n_rr - first)
+        out_rr.append(first + s[:cut])
+        out_adv.append(advs[s[:cut]])
+        out_node.append(v[:cut])
+    if not out_rr:
+        return _EMPTY, _EMPTY, _EMPTY
+    return np.concatenate(out_rr), np.concatenate(out_adv), np.concatenate(out_node)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +260,7 @@ class RRCollection:
     def members_of(self, ids: np.ndarray) -> np.ndarray:
         """The members of the RR sets ``ids``, concatenated."""
         starts = self.rr_ptr[ids]
-        lens = self.rr_ptr[ids + 1] - starts
-        offsets = (starts - lens.cumsum() + lens).repeat(lens)
-        return self.members[offsets + np.arange(len(offsets))]
+        return self.members[_slice_positions(starts, self.rr_ptr[ids + 1] - starts)]
 
     @cached_property
     def exploded(self) -> pd.DataFrame:

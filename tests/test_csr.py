@@ -95,3 +95,41 @@ def test_probs_row_shared_vs_per_adv():
         2, src, dst, np.array([[0.1], [0.2], [0.3]]), h=3, shared_probs=False
     )
     assert per.probs_row(1)[0] == 0.2
+
+
+def _ref_subsim_aux(n, csr):
+    """The per-node loop the vectorised SUBSIM auxiliaries replace."""
+    rows, m = csr.in_probs.shape
+    probs_sorted = np.empty_like(csr.in_probs)
+    indices_sorted = np.empty((rows, m), dtype=np.int64)
+    equal = np.zeros((rows, n), dtype=bool)
+    for r in range(rows):
+        for v in range(n):
+            lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
+            if hi == lo:
+                equal[r, v] = True
+                continue
+            sl = csr.in_probs[r, lo:hi]
+            order = np.argsort(-sl, kind="stable")
+            probs_sorted[r, lo:hi] = sl[order]
+            indices_sorted[r, lo:hi] = csr.in_indices[lo:hi][order]
+            equal[r, v] = bool(sl.max() - sl.min() < 1e-15)
+    return probs_sorted, indices_sorted, equal
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shared", [False, True])
+def test_subsim_aux_equals_reference_loop(seed, shared):
+    """Bit-identical to a per-node stable argsort, ties and empty slices
+    included (probabilities from a 4-value grid make ties common)."""
+    n = 60
+    src, dst = powerlaw_edges(n, 300, seed=seed)
+    g = np.random.default_rng(seed)
+    h = 3
+    probs = g.choice([0.0, 0.1, 0.25, 1.0], size=(1 if shared else h, len(src)))
+    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    assert (np.diff(csr.in_indptr) == 0).any()
+    ps, ix, eq = _ref_subsim_aux(n, csr)
+    np.testing.assert_array_equal(csr.in_probs_sorted, ps)
+    np.testing.assert_array_equal(csr.in_indices_sorted, ix)
+    np.testing.assert_array_equal(csr.in_equal_prob, eq)

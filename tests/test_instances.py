@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from repro.experiments import instances
 from repro.experiments.instances import (
     PRESETS,
     build_instance,
     get_eval_rr,
     get_instance,
 )
+from repro.influence.rrset import _BLOCK, generate_rr_local
 
 
 def test_preset_catalogue():
@@ -84,3 +86,26 @@ def test_wc_instance_budget_override(spark):
     # WC probabilities: each in-edge of v carries 1/indeg(v).
     indeg = np.bincount(inst.dst, minlength=inst.n)
     assert np.allclose(inst.edge_probs[0], 1.0 / indeg[inst.dst])
+
+
+@pytest.mark.parametrize("n_rr", [0, 700, 5000])
+@pytest.mark.parametrize("min_members", [0, 10**12])
+def test_generate_dispatch_returns_the_same_collection(
+    spark, tiny_inst, monkeypatch, n_rr, min_members
+):
+    """The local/Spark choice changes speed only: whichever path the
+    member-count rule picks, the collection equals the driver's."""
+    calls = []
+    real = instances.generate_rr_collection
+
+    def spy(spark, csr, cpe, n_rr, **kw):
+        calls.append(n_rr)
+        return real(spark, csr, cpe, n_rr, **kw)
+
+    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
+    monkeypatch.setattr(instances, "generate_rr_collection", spy)
+    got = instances._generate(spark, tiny_inst.csr, tiny_inst.cpe, n_rr, 17)
+    want = generate_rr_local(tiny_inst.csr, tiny_inst.cpe, n_rr, seed=17)
+    assert calls == ([n_rr] if min_members == 0 and n_rr > _BLOCK else [])
+    for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

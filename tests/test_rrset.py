@@ -281,3 +281,62 @@ def test_rr_ids_for_absent_key_is_empty():
     for node, adv in ((5, 0), (0, 1), (5, 1)):
         got = rr.rr_ids_for(node, adv)
         assert isinstance(got, np.ndarray) and got.size == 0
+
+
+# ---------------------------------------------------------------------------
+# Exact RR-set distribution on tiny graphs
+# ---------------------------------------------------------------------------
+
+# Node 2 has in-degree 5; 0 ⇄ 1 is a 2-cycle; 2 → 3 has p = 1 and 3 → 4
+# has p = 0 for both advertisers. Advertiser 0 ties three of node 2's
+# in-edges at 0.2 (the SUBSIM skipping loop with thinning); advertiser 1
+# expects more than four hits on node 2's slice (SUBSIM's standard-draw
+# path) and ties the 2-cycle.
+TINY_SRC = np.array([0, 1, 0, 1, 3, 4, 5, 2, 3, 4, 5])
+TINY_DST = np.array([1, 0, 2, 2, 2, 2, 2, 3, 4, 5, 1])
+TINY_TIC = np.array([
+    [0.3, 0.5, 0.2, 0.6, 0.2, 0.2, 0.1, 1.0, 0.0, 0.45, 0.3],
+    [0.7, 0.7, 0.9, 0.9, 0.8, 0.85, 0.95, 1.0, 0.0, 0.25, 0.05],
+])
+
+
+def _exact_membership(n, probs):
+    """P(u ∈ RR | adv, root) as an (h, root, u) array: the probability that
+    root is reachable from u in a live-edge world of adv."""
+    from repro.influence.spread import live_edge_worlds, reached
+
+    out = np.zeros((len(probs), n, n))
+    for adv, row in enumerate(probs):
+        for p_world, adj in live_edge_worlds(TINY_SRC, TINY_DST, row):
+            for u in range(n):
+                for root in reached(adj, [u]):
+                    out[adv, root, u] += p_world
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+@pytest.mark.parametrize("model", ["tic", "wc"])
+def test_membership_matches_exact_reverse_reachability(kernel, model):
+    """Every (advertiser, root, node) membership frequency equals the exact
+    reverse-reachability probability, within 5 standard errors of its own
+    sample size (exactly, where the probability is 0 or 1)."""
+    n, h = 6, 2
+    if model == "tic":
+        probs, shared = TINY_TIC, False
+    else:
+        indeg = np.bincount(TINY_DST, minlength=n)
+        probs, shared = (1.0 / indeg[TINY_DST])[None, :], True
+    csr = build_csr(n, TINY_SRC, TINY_DST, probs, h=h, shared_probs=shared)
+    exact = _exact_membership(n, probs if not shared else np.repeat(probs, h, 0))
+
+    rr = generate_rr_local(csr, [1.0, 1.0], 60_000, seed=14, kernel=kernel)
+    roots = rr.members[rr.rr_ptr[:-1]]
+    n_sets = np.zeros((h, n))
+    np.add.at(n_sets, (rr.rr_adv, roots), 1)
+    rr_of = rr.rr_of_members()
+    hits = np.zeros((h, n, n))
+    np.add.at(hits, (rr.rr_adv[rr_of], roots[rr_of], rr.members), 1)
+    freq = hits / n_sets[:, :, None]
+    margin = 5 * np.sqrt(exact * (1 - exact) / n_sets[:, :, None])
+    assert n_sets.min() > 4000
+    assert np.all(np.abs(freq - exact) <= margin + 1e-12), np.abs(freq - exact).max()
