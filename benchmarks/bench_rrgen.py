@@ -3,11 +3,9 @@
 The kernel-level comparison behind Table 6: SUBSIM's subset sampling does
 O(E[#selected]) work per node instead of O(indeg), which shows most clearly
 on the Weighted-Cascade graphs with heavy-tailed in-degrees. The TI-shaped
-case is the call mix of a TI-CARM/TI-CSRM run on ``lastfm_lite``: many
-small per-advertiser generations.
+case replays the call mix of a TI-CARM/TI-CSRM run on ``lastfm_lite``:
+many small per-advertiser generations.
 """
-import math
-
 import numpy as np
 import pytest
 
@@ -66,29 +64,28 @@ def lastfm_tic_graph():
     return build_csr(n, src, dst, probs, h=h, shared_probs=False)
 
 
-# Per advertiser: the KptEstimation sizes c_i at lastfm_lite's sample_scale
-# (0.05; 16 to 727 sets), then one θ-sized resample at the TI cap.
-_KPT_SIZES = [
-    max(16, int(0.05 * (6 * math.log(1300) + 6 * math.log(10)) * 2**i))
-    for i in range(1, 9)
+# The generation calls of one `ti_lastfm` cell (TI-CARM then TI-CSRM on
+# lastfm_lite), as (sets per call, calls): KptEstimation's 16-727-set
+# samples, the 1455-set refinements and the 16K-set θ resamples at the TI
+# cap. Calls go to the advertisers in turn, one seed each.
+_TI_CALLS = [
+    (16, 200), (22, 100), (45, 100), (90, 100), (181, 100),
+    (363, 90), (727, 66), (1455, 44), (16_000, 100),
 ]
-_TI_RESAMPLE = 16_000
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
 def test_rrgen_ti_calls(benchmark, lastfm_tic_graph, kernel):
     g = lastfm_tic_graph
+    sizes = [n_rr for n_rr, calls in _TI_CALLS for _ in range(calls)]
 
     def ti_calls():
         sets = 0
-        for adv in range(g.h):
+        for i, n_rr in enumerate(sizes):
             onehot = np.zeros(g.h)
-            onehot[adv] = 1.0
-            for i, n_rr in enumerate(_KPT_SIZES + [_TI_RESAMPLE]):
-                sets += generate_rr_local(
-                    g, onehot, n_rr, seed=100 * adv + i, kernel=kernel
-                ).n_rr
+            onehot[i % g.h] = 1.0
+            sets += generate_rr_local(g, onehot, n_rr, seed=i, kernel=kernel).n_rr
         return sets
 
     sets = benchmark.pedantic(ti_calls, rounds=2, iterations=1)
-    assert sets == g.h * (sum(_KPT_SIZES) + _TI_RESAMPLE)
+    assert sets == sum(sizes)

@@ -31,35 +31,42 @@ from repro.graphs.tic import (
 )
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
-    _BLOCK,
     RRCollection,
     generate_rr_collection,
     generate_rr_local,
 )
 
 # Above this many expected members (sets × mean width) Spark's fan-out beats
-# the driver: its fixed cost (job launch, broadcast, Arrow collect) is ~1 s,
-# its per-member cost under half the driver kernel's. The crossover tracks
-# members, not sets. Measured on a 4-vCPU VM, `local[4]`, warm session,
-# seconds local / Spark:
+# the driver: its fixed cost (job launch, broadcast, Arrow collect) is
+# ~0.4 s, its per-member cost about half the driver kernel's. The crossover
+# tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`, warm
+# session, best of 2, seconds local / Spark:
 #
 #   graph (mean width)                20K sets     100K         400K         1M
-#   flixster_lite (4.6)               0.10 / 1.08  0.55 / 1.36  2.08 / 1.93  4.62 / 3.40
-#   WC, livejournal-shaped (15.5)     0.40 / 1.00  2.41 / 1.76  8.68 / 4.91  —
+#   flixster_lite (4.6)               0.04 / 0.44  0.24 / 0.66  0.87 / 1.14  2.63 / 2.03
+#   WC, livejournal-shaped (15.5)     0.21 / 0.59  1.07 / 1.41  4.61 / 3.44  —
 #
-# i.e. parity at ~1.8M members on flixster and ~0.9M on the WC graph.
-_SPARK_MIN_MEMBERS = 1_500_000
+# i.e. parity at ~2.7M members on flixster and ~2.6M on the WC graph.
+_SPARK_MIN_MEMBERS = 2_500_000
+# Sets generated on the driver to read the mean width off.
+_WIDTH_PROBE = 1024
 
 
 def _generate(spark, csr, cpe, n_rr, seed, kernel="standard") -> RRCollection:
     """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed). Both paths return the
-    same collection; the expected member count, read off block 0 made on the
-    driver, only picks the faster one."""
-    head = generate_rr_local(csr, cpe, min(n_rr, _BLOCK), seed=seed, kernel=kernel)
-    if n_rr <= _BLOCK:
+    same collection; the expected member count, read off the first
+    ``_WIDTH_PROBE`` sets made on the driver, only picks the faster one. On
+    the driver the remaining sets are appended to the probe."""
+    head = generate_rr_local(
+        csr, cpe, min(n_rr, _WIDTH_PROBE), seed=seed, kernel=kernel
+    )
+    if n_rr <= _WIDTH_PROBE:
         return head
     if n_rr * len(head.members) <= _SPARK_MIN_MEMBERS * head.n_rr:
-        return generate_rr_local(csr, cpe, n_rr, seed=seed, kernel=kernel)
+        tail = generate_rr_local(
+            csr, cpe, n_rr - head.n_rr, seed=seed, kernel=kernel, first=head.n_rr
+        )
+        return head.merge(tail)
     return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
 
 

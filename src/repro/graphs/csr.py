@@ -80,7 +80,8 @@ def build_csr(
 
     in_indptr, in_order = _csr_order(dst, src, n)
     in_indices = src[in_order].astype(np.int64)
-    in_probs = probs2d[:, in_order]
+    # C order: the kernels gather ``in_probs.ravel()[row * m + e]``.
+    in_probs = np.ascontiguousarray(probs2d[:, in_order])
 
     out_indptr, out_order = _csr_order(src, dst, n)
     out_indices = dst[out_order].astype(np.int64)

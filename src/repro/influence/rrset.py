@@ -6,25 +6,29 @@ reverse BFS from a uniformly random root with advertiser-i edge
 probabilities. Lemma 4.1: ``π(S⃗) = nΓ·E[Λ(S⃗, R)]``, so coverage over a
 collection estimates revenue with a single, identically-distributed sample.
 
-RR set k is a pure function of (graph, cpe, kernel, seed, k): ids are cut
-into fixed blocks of ``_BLOCK``, and each block has its own RNG stream seeded
-with ``[seed, block_start]``. A block always draws a full block of
-advertisers and roots, so ``gen(n₁, s)`` is a prefix of ``gen(n₂, s)`` for
-n₁ ≤ n₂, and the way the blocks are split into tasks changes nothing.
+RR set k is a pure function of (graph, cpe, kernel, seed, k), drawn from
+counters, not from a shared RNG stream (as in Random123's counter-based
+generators, Salmon et al., SC 2011): set k's key is output k of a SplitMix64
+stream (Steele, Lea & Flood, OOPSLA 2014) seeded by ``seed``, and its
+advertiser, its root and every coin are fixed slots of the SplitMix64 stream
+seeded with that key. No draw depends on which other sets are simulated in
+the same call, chunk or task, so any split of an id range returns the same
+sets, ``gen(n₁, s)`` is a prefix of ``gen(n₂, s)`` for n₁ ≤ n₂, and a call
+simulates exactly the sets it returns.
 
 Generation is the dominant cost of every RR-set algorithm (Appendix C), so
-it is the distributed piece: a task DataFrame (one row per id block) flows
-through ``mapInPandas`` with the CSR graph broadcast to executors; member
-rows come back as Arrow batches. The driver-local path runs the same block
-loop, so both return identical collections.
+it is the distributed piece: a task DataFrame (one row per id range of
+``_CHUNK`` sets) flows through ``mapInPandas`` with the CSR graph broadcast
+to executors; member rows come back as Arrow batches. The driver-local path
+simulates the same ranges, so both return identical collections.
 
-A block is one level-synchronous reverse BFS over all of its sets: the
-frontier is a pair of arrays (set slot, node), and each level is a single
-batched kernel call over the whole frontier. Two kernels share this harness:
+A range is one level-synchronous reverse BFS over all of its sets (at most
+``_CHUNK`` at a time, to bound memory): the frontier is a pair of arrays
+(set slot, node), and each level is a single batched kernel call over the
+whole frontier. Two kernels share this harness:
 
 - ``standard``: every in-edge of every frontier entry, gathered with
-  ``np.repeat`` over ``in_indptr``, gets one uniform draw (O(indeg) per
-  entry).
+  ``np.repeat`` over ``in_indptr``, gets one coin (O(indeg) per entry).
 - ``subsim``: subset sampling in the spirit of SUBSIM [34] — batched
   geometric skips over each entry's in-edges sorted by descending
   probability, thinning each hit by p_j/p_env against a per-entry running
@@ -48,6 +52,65 @@ from repro.graphs.csr import CSRGraph
 
 
 # ---------------------------------------------------------------------------
+# Counter-based draws (SplitMix64, Steele, Lea & Flood 2014)
+# ---------------------------------------------------------------------------
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
+
+# Draw slots of a set: its advertiser, its root, then one coin per in-edge.
+# The coin of in-edge position e under probability row r is slot
+# ``_COIN + r·m + e`` (its flat index into ``in_probs``); SUBSIM's skip and
+# thinning draws are keyed by sorted-slice positions under their own salts,
+# clear of every coin slot.
+_ADV, _ROOT, _COIN = 0, 1, 2
+_SKIP = 1 << 40
+_THIN = 1 << 41
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array."""
+    t = np.empty_like(z)
+    np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _MUL1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MUL2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
+def _stream(key: np.ndarray, slot, base: int = 0) -> np.ndarray:
+    """Output ``base + slot`` of the SplitMix64 stream seeded with each key,
+    ``mix(key + (base + slot + 1)·γ)``, as uint64. ``slot`` is an int, or a
+    non-negative int64 array of ``key``'s shape (or broadcasting ``key``)."""
+    if np.ndim(slot) == 0:
+        return _mix(key + np.uint64((base + slot + 1) * int(_GAMMA) % 2**64))
+    z = slot.view(np.uint64) * _GAMMA
+    z += np.uint64((base + 1) * int(_GAMMA) % 2**64)
+    z += key
+    return _mix(z)
+
+
+def _uniform(key: np.ndarray, slot, base: int = 0) -> np.ndarray:
+    """Draws in [0, 1): the top 53 bits of ``_stream(key, slot, base)``."""
+    z = _stream(key, slot, base)
+    z >>= _S11
+    return z * 2.0**-53
+
+
+def _set_keys(seed: int, first: int, stop: int) -> np.ndarray:
+    """The keys of sets first..stop-1: outputs first..stop-1 of the
+    SplitMix64 stream seeded with mix(seed)."""
+    base = _mix(np.array([seed % 2**64], dtype=np.uint64))
+    return _stream(base, np.arange(first, stop, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
 # Kernels (top-level so Spark workers can import them)
 # ---------------------------------------------------------------------------
 
@@ -59,25 +122,27 @@ def _slice_positions(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return np.repeat(lo - starts, cnt) + np.arange(cnt.sum())
 
 
-def _expand_standard(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
-    """Activated in-neighbours of a frontier: one uniform draw per in-edge of
-    every frontier entry (set slot ``fs``, node ``fv``, probability row
-    ``rows``). Returns the (slot, in-neighbour) hits."""
+def _expand_standard(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
+    """Activated in-neighbours of a frontier: one coin per in-edge of every
+    frontier entry (set slot ``fs``, node ``fv``, probability row ``rows``),
+    each drawn from the set's key. Returns the (slot, in-neighbour) hits."""
     lo = g.in_indptr[fv]
     cnt = g.in_indptr[fv + 1] - lo
-    e = _slice_positions(lo, cnt)
-    hit = rng.random(len(e)) < g.in_probs[np.repeat(rows, cnt), e]
-    return np.repeat(fs, cnt)[hit], g.in_indices[e[hit]]
+    flat = _slice_positions(rows * g.m + lo, cnt)
+    u = _uniform(np.repeat(keys[fs], cnt), flat, _COIN)
+    hit = np.flatnonzero(u < g.in_probs.ravel()[flat])
+    entry = np.searchsorted(np.cumsum(cnt), hit, side="right")
+    return fs[entry], g.in_indices[flat[hit] % g.m]
 
 
 # Above this expected number of envelope hits, an entry takes the standard
 # draw: one vectorised pass over its slice beats a skipping loop that runs
-# once per hit (bench_rrgen.py: without it, SUBSIM is 2.3-2.6x slower on the
-# TIC cases and 1.25x on the WC one).
+# once per hit (bench_rrgen.py with counter-based draws: without it, SUBSIM
+# is 1.9x slower on the TI-shaped calls, 2.8x on TIC and 1.3x on WC).
 _SUBSIM_HIT_CUTOFF = 4.0
 
 
-def _expand_subsim(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
+def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
     """Activated in-neighbours of a frontier via subset sampling (SUBSIM-style).
 
     Each entry walks its in-edge slice sorted by descending probability with
@@ -86,6 +151,8 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
     one), and a hit survives thinning with p_j/p_env, so each position is
     selected with exactly p_j, independently. Under equal probabilities (the
     Weighted-Cascade case) the thinning always accepts and draws nothing.
+    A skip is drawn at slot ``_SKIP + q`` of the set's key, q the sorted-slice
+    position it starts from, and a thinning draw at ``_THIN + q`` of the hit.
     One pass of the loop advances every live entry to its next hit; work is
     O(1 + #hits) per entry instead of O(indeg). Entries expecting more than
     ``_SUBSIM_HIT_CUTOFF`` hits take the standard draw instead.
@@ -96,30 +163,32 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, rng: np.random.Generator):
     p_env = g.in_probs_sorted[rows[k], lo[k]]
     dense = p_env * d[k] > _SUBSIM_HIT_CUTOFF
     kd = k[dense]
-    hs, hv = _expand_standard(fs[kd], fv[kd], rows[kd], g, rng)
+    hs, hv = _expand_standard(fs[kd], fv[kd], rows[kd], g, keys)
     out_s, out_v = [hs], [hv]
     light = ~dense & (p_env > 0.0)
     k, p_env = k[light], p_env[light]
     fs, lo, d, rows = fs[k], lo[k], d[k], rows[k]
     equal = g.in_equal_prob[rows, fv[k]]
+    key = keys[fs]
     pos = np.zeros(len(k), dtype=np.int64)
     with np.errstate(divide="ignore"):  # p_env = 1: log1p(-1) = -inf, no skip
         while len(fs):
-            skip = np.log1p(-rng.random(len(fs))) / np.log1p(-p_env)
+            u = _uniform(key, lo + pos, _SKIP)
+            skip = np.log1p(-u) / np.log1p(-p_env)
             j = pos + np.minimum(skip, d).astype(np.int64)
             hit = j < d
             e = lo + np.minimum(j, d - 1)
             pj = g.in_probs_sorted[rows, e]
             thin = hit & ~equal & (pj < p_env)
             keep = hit & ~thin
-            keep[thin] = rng.random(np.count_nonzero(thin)) < pj[thin] / p_env[thin]
+            keep[thin] = _uniform(key[thin], e[thin], _THIN) < pj[thin] / p_env[thin]
             out_s.append(fs[keep])
             out_v.append(g.in_indices_sorted[rows[keep], e[keep]])
             p_env = np.where(thin, pj, p_env)
             pos = j + 1
             live = np.flatnonzero(hit & (pos < d) & (p_env > 0.0))
             fs, lo, d, rows = fs[live], lo[live], d[live], rows[live]
-            p_env, equal, pos = p_env[live], equal[live], pos[live]
+            p_env, equal, pos, key = p_env[live], equal[live], pos[live], key[live]
     return np.concatenate(out_s), np.concatenate(out_v)
 
 
@@ -131,68 +200,66 @@ _KERNELS = {
 }
 
 
-# RR ids per RNG stream; tasks are whole blocks.
-_BLOCK = 1024
+# Sets per reverse BFS; bounds the frontier and visited arrays, nothing else.
+_CHUNK = 4096
 
 
-def _n_blocks(n_rr: int) -> int:
-    return -(-n_rr // _BLOCK)
+def _simulate(first: int, stop: int, g: CSRGraph, cdf, seed: int, kernel: str):
+    """RR sets first..stop-1 as one level-synchronous reverse BFS; returns
+    (rr_id, adv, node) rows in id order, root first in each set, then the
+    members level by level, each level in node order.
 
-
-def _run_rr_blocks(
-    blocks: np.ndarray,
-    n_rr: int,
-    g: CSRGraph,
-    cpe_w: np.ndarray,
-    seed: int,
-    kernel: str,
-):
-    """Generate the RR sets of id blocks ``blocks`` (ids below ``n_rr``);
-    returns (rr_id, adv, node) rows in id order, root first in each set, then
-    the members level by level.
-
-    Block b is deterministic in (seed, b): one RNG stream seeded with
-    ``[seed, b * _BLOCK]`` draws a full block of advertisers and roots, then
-    runs one level-synchronous reverse BFS over all ``_BLOCK`` sets: the
-    frontier is a pair of arrays (set slot, node), each level is one kernel
-    call over the whole frontier, and new members are deduplicated against
-    the block's visited keys ``slot * n + node``. The block is always
-    simulated in full and cut at ``n_rr`` afterwards, so a set's coins never
-    depend on how many ids of its block were asked for.
+    The frontier is a pair of arrays (set slot, node), each level is one
+    kernel call over the whole frontier, and new members are deduplicated
+    against the sorted visited codes ``slot * n + node``.
     """
     expand = _KERNELS[kernel]
     n = g.n
-    slots = np.arange(_BLOCK, dtype=np.int64)
-    # Larger than every key: keeps searchsorted inside the visited array.
-    sentinel = np.array([_BLOCK * n], dtype=np.int64)
-    out_rr, out_adv, out_node = [], [], []
-    for b in blocks:
-        first = int(b) * _BLOCK
-        rng = np.random.default_rng([seed, first])
-        advs = rng.choice(g.h, size=_BLOCK, p=cpe_w)
-        roots = rng.integers(0, n, size=_BLOCK)
-        rows = np.zeros_like(advs) if g.shared_probs else advs
-        visited = np.concatenate([slots * n + roots, sentinel])
-        level_s, level_v = [slots], [roots]
-        fs, fv = slots, roots
-        while len(fs):
-            hs, hv = expand(fs, fv, rows[fs], g, rng)
-            keys = np.unique(hs * n + hv)
-            new = keys[visited[np.searchsorted(visited, keys)] != keys]
-            visited = np.sort(np.concatenate([visited, new]))
-            fs, fv = np.divmod(new, n)
-            level_s.append(fs)
-            level_v.append(fv)
-        s, v = np.concatenate(level_s), np.concatenate(level_v)
-        order = np.argsort(s, kind="stable")
-        s, v = s[order], v[order]
-        cut = np.searchsorted(s, n_rr - first)
-        out_rr.append(first + s[:cut])
-        out_adv.append(advs[s[:cut]])
-        out_node.append(v[:cut])
-    if not out_rr:
+    keys = _set_keys(seed, first, stop)
+    advs = np.searchsorted(cdf, _uniform(keys, _ADV), side="right")
+    roots = (_uniform(keys, _ROOT) * n).astype(np.int64)
+    rows = np.zeros_like(advs) if g.shared_probs else advs
+    slots = np.arange(stop - first, dtype=np.int64)
+    # Larger than every code: keeps searchsorted inside the visited array.
+    sentinel = np.array([(stop - first) * n], dtype=np.int64)
+    visited = np.concatenate([slots * n + roots, sentinel])
+    level_s, level_v = [slots], [roots]
+    fs, fv = slots, roots
+    while len(fs):
+        hs, hv = expand(fs, fv, rows[fs], g, keys)
+        codes = np.unique(hs * n + hv)
+        at = np.searchsorted(visited, codes)
+        fresh = visited[at] != codes
+        new = codes[fresh]
+        visited = np.insert(visited, at[fresh], new)  # stays sorted, no re-sort
+        fs, fv = np.divmod(new, n)
+        level_s.append(fs)
+        level_v.append(fv)
+    s, v = np.concatenate(level_s), np.concatenate(level_v)
+    order = _stable_order(s, stop - first)
+    s, v = s[order], v[order]
+    return first + s, advs[s], v
+
+
+def _rr_rows(first: int, stop: int, g: CSRGraph, cpe_w, seed: int, kernel: str):
+    """(rr_id, adv, node) rows of RR sets first..stop-1, ``_CHUNK`` sets per
+    BFS.
+
+    Set k is a pure function of (graph, cpe, kernel, seed, k): its key is
+    output k of a SplitMix64 stream seeded by ``seed``, and its advertiser,
+    root and every coin are fixed slots of its key's own stream. No draw
+    depends on which other sets are simulated with it, so any split of an id
+    range into calls, chunks or Spark tasks returns the same rows.
+    """
+    cdf = np.cumsum(cpe_w)
+    cdf /= cdf[-1]
+    parts = [
+        _simulate(lo, min(lo + _CHUNK, stop), g, cdf, seed, kernel)
+        for lo in range(first, stop, _CHUNK)
+    ]
+    if not parts:
         return _EMPTY, _EMPTY, _EMPTY
-    return np.concatenate(out_rr), np.concatenate(out_adv), np.concatenate(out_node)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +271,14 @@ def _ptr(counts: np.ndarray) -> np.ndarray:
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in [0, bound). Keys that
+    fit in 16 bits are sorted as uint16, which NumPy radix-sorts in O(N)."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass
@@ -238,7 +313,7 @@ class RRCollection:
         rr_ptr = _ptr(np.bincount(rr_rows, minlength=n_rr))
         key = rr_adv[rr_rows] * n + node_rows
         key_ptr = _ptr(np.bincount(key, minlength=h * n))
-        rr_ids = rr_rows[np.argsort(key, kind="stable")]
+        rr_ids = rr_rows[_stable_order(key, h * n)]
         return cls(
             n, h, np.asarray(cpe, dtype=np.float64), n_rr, rr_adv,
             rr_ptr, node_rows, key_ptr, rr_ids,
@@ -347,13 +422,13 @@ def generate_rr_local(
     *,
     seed: int,
     kernel: str = "standard",
+    first: int = 0,
 ) -> RRCollection:
-    """Driver-only generation: the block loop with no Spark job."""
+    """Driver-only generation of RR sets first..first+n_rr-1 of (seed,
+    kernel), renumbered from 0, with no Spark job."""
     cpe = np.asarray(cpe, dtype=np.float64)
-    rows = _run_rr_blocks(
-        np.arange(_n_blocks(n_rr)), n_rr, csr, cpe / cpe.sum(), seed, kernel
-    )
-    return _assemble(csr.n, csr.h, cpe, n_rr, *rows)
+    rr, adv, node = _rr_rows(first, first + n_rr, csr, cpe / cpe.sum(), seed, kernel)
+    return _assemble(csr.n, csr.h, cpe, n_rr, rr - first, adv, node)
 
 
 def generate_rr_collection(
@@ -366,24 +441,28 @@ def generate_rr_collection(
     kernel: str = "standard",
     num_partitions: int | None = None,
 ) -> RRCollection:
-    """Distributed generation: block-id DataFrame → mapInPandas → Arrow
-    collect. Returns the same collection as ``generate_rr_local``."""
+    """Distributed generation: a DataFrame of id ranges (row c holds sets
+    c·_CHUNK .. (c+1)·_CHUNK-1) → mapInPandas → Arrow collect. Returns the
+    same collection as ``generate_rr_local``."""
     cpe = np.asarray(cpe, dtype=np.float64)
-    n_blocks = _n_blocks(n_rr)
+    chunk = _CHUNK  # read once: the workers use the driver's value
+    n_chunks = -(-n_rr // chunk)
     if num_partitions is None:
         par = spark.sparkContext.defaultParallelism
-        num_partitions = max(1, min(par * 2, n_blocks))
+        num_partitions = max(1, min(par * 2, n_chunks))
     bc = spark.sparkContext.broadcast((csr, cpe / cpe.sum()))
 
     def gen(batches):
         g, weights = bc.value
         for b in batches:
-            rr, adv, node = _run_rr_blocks(
-                b["id"].to_numpy(), n_rr, g, weights, seed, kernel
-            )
-            yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
+            for c in b["id"].to_numpy():
+                lo = int(c) * chunk
+                rr, adv, node = _rr_rows(
+                    lo, min(lo + chunk, n_rr), g, weights, seed, kernel
+                )
+                yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
 
-    tasks = spark.range(0, n_blocks, numPartitions=num_partitions)
+    tasks = spark.range(0, n_chunks, numPartitions=num_partitions)
     pdf = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toPandas()
     bc.unpersist()
     cols = [pdf[c].to_numpy(dtype=np.int64) for c in ("rr_id", "adv", "node")]

@@ -133,3 +133,15 @@ def test_subsim_aux_equals_reference_loop(seed, shared):
     np.testing.assert_array_equal(csr.in_probs_sorted, ps)
     np.testing.assert_array_equal(csr.in_indices_sorted, ix)
     np.testing.assert_array_equal(csr.in_equal_prob, eq)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_in_probs_is_c_contiguous(shared):
+    """The RR kernels gather ``in_probs.ravel()[row * m + e]``; a ravel of a
+    C-ordered array is a view, not a copy."""
+    n, h = 30, 3
+    src, dst = powerlaw_edges(n, 120, seed=7)
+    probs = np.random.default_rng(7).uniform(0.0, 0.5, size=(1 if shared else h, len(src)))
+    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    assert csr.in_probs.flags["C_CONTIGUOUS"]
+    assert np.shares_memory(csr.in_probs.ravel(), csr.in_probs)

@@ -9,7 +9,7 @@ from repro.experiments.instances import (
     get_eval_rr,
     get_instance,
 )
-from repro.influence.rrset import _BLOCK, generate_rr_local
+from repro.influence.rrset import generate_rr_local
 
 
 def test_preset_catalogue():
@@ -106,6 +106,7 @@ def test_generate_dispatch_returns_the_same_collection(
     monkeypatch.setattr(instances, "generate_rr_collection", spy)
     got = instances._generate(spark, tiny_inst.csr, tiny_inst.cpe, n_rr, 17)
     want = generate_rr_local(tiny_inst.csr, tiny_inst.cpe, n_rr, seed=17)
-    assert calls == ([n_rr] if min_members == 0 and n_rr > _BLOCK else [])
+    probe = instances._WIDTH_PROBE
+    assert calls == ([n_rr] if min_members == 0 and n_rr > probe else [])
     for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

@@ -9,8 +9,8 @@ from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
 from repro.baselines.tim import rr_width
+from repro.influence import rrset
 from repro.influence.rrset import (
-    _BLOCK,
     RRCollection,
     from_memberships,
     generate_rr_collection,
@@ -135,7 +135,6 @@ def assert_same_collection(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
 
 
-# Not a multiple of the block size: the last block is cut short.
 N_EXACT = 5000
 
 
@@ -155,7 +154,6 @@ def test_spark_generation_equals_local(
 ):
     """RR set k depends on (graph, cpe, kernel, seed, k) only: no partition
     count or Arrow batch size changes the collection."""
-    assert N_EXACT % _BLOCK
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
     old = spark.conf.get(key)
     spark.conf.set(key, str(batch))
@@ -181,6 +179,52 @@ def test_generation_is_prefix_closed(small_csr, local_rr, kernel):
         full.members_of(ids),
     )
     assert_same_collection(part, prefix)
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_uneven_split_equals_one_call(small_csr, local_rr, monkeypatch, kernel):
+    """Sets first..stop-1 generated alone, in chunks of any size, are those
+    sets of one call: merging uneven ranges gives the whole collection."""
+    monkeypatch.setattr(rrset, "_CHUNK", 333)
+    cuts = [0, 1, 17, 1000, 1001, 4097, N_EXACT]
+    parts = [
+        generate_rr_local(small_csr, CPE, hi - lo, seed=12, kernel=kernel, first=lo)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = merged.merge(part)
+    assert_same_collection(merged, local_rr[kernel])
+
+
+def test_counter_draws_are_uniform_and_independent():
+    """The counter draws behind every coin: uniform on [0, 1) (binned χ²)
+    and uncorrelated at adjacent set ids, adjacent slots and adjacent seeds.
+    Margins are 5 standard deviations at this sample size."""
+    n_sets, n_slots = 4000, 64
+    coins = rrset._COIN + np.arange(n_slots - 2)
+    slots = np.concatenate([[rrset._ADV, rrset._ROOT], coins]).astype(np.int64)
+
+    def draws(seed):
+        keys = np.repeat(rrset._set_keys(seed, 0, n_sets), n_slots)
+        return rrset._uniform(keys, np.tile(slots, n_sets)).reshape(n_sets, n_slots)
+
+    u = draws(5)
+    assert u.shape == (n_sets, n_slots)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    bins = 100
+    counts = np.bincount((u.ravel() * bins).astype(np.int64), minlength=bins)
+    expect = u.size / bins
+    chi2 = ((counts - expect) ** 2 / expect).sum()
+    assert chi2 < bins - 1 + 5 * np.sqrt(2 * (bins - 1)), chi2
+    pairs = {
+        "adjacent set ids": (u[:-1], u[1:]),
+        "adjacent slots": (u[:, :-1], u[:, 1:]),
+        "adjacent seeds": (u, draws(6)),
+    }
+    for name, (a, b) in pairs.items():
+        r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+        assert abs(r) < 5 / np.sqrt(a.size), (name, r)
 
 
 def test_from_memberships():
