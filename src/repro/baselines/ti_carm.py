@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.baselines.tim import kpt_estimation, tim_theta
 from repro.core.celf import EPS, celf, presorted, push_all, rates
+from repro.core.model import CoverageRevenueModel
 from repro.graphs.csr import CSRGraph
 from repro.influence.rrset import RRCollection
 
@@ -39,15 +40,12 @@ class TIResult:
 
 
 class _AdvSample:
-    """Per-advertiser RR collection + coverage state + θ bookkeeping."""
+    """Per-advertiser RR collection and θ bookkeeping (latent seed size,
+    epoch, sets spent). Coverage over ``rr`` is the caller's."""
 
     def __init__(
-        self, adv, cpe_i, n, gen, csr, eps, ell, sample_scale, rr_cap, seed,
-        max_latent,
+        self, gen, csr, eps, ell, sample_scale, rr_cap, seed, max_latent,
     ):
-        self.adv = adv
-        self.cpe_i = float(cpe_i)
-        self.n = n
         self.gen = gen  # gen(n_rr, seed) -> RRCollection for this adv
         self.csr = csr
         self.eps = eps
@@ -60,10 +58,7 @@ class _AdvSample:
         self.epoch = 0
         self.spent = 0
         self.regens = 0
-        self.rr: RRCollection | None = None
-        self.covered: np.ndarray | None = None
-        self.cov = 0
-        self._resample(initial=True)
+        self.rr = self._sample()
 
     def _theta(self) -> int:
         kpt, spent = kpt_estimation(
@@ -76,53 +71,29 @@ class _AdvSample:
         )
         self.spent += spent
         theta = int(
-            self.scale * tim_theta(self.n, self.s_latent, self.eps, self.ell, kpt)
+            self.scale * tim_theta(self.csr.n, self.s_latent, self.eps, self.ell, kpt)
         )
         theta = max(theta, 256)
         if self.rr_cap is not None:
             theta = min(theta, self.rr_cap)
         return theta
 
-    def _resample(self, *, initial: bool, current_seeds=()):
+    def _sample(self) -> RRCollection:
         theta = self._theta()
-        self.rr = self.gen(theta, self.seed + 997 * self.epoch + 1)
         self.spent += theta
-        self.covered = np.zeros(self.rr.n_rr, dtype=bool)
-        self.cov = 0
-        for u in current_seeds:
-            self.add(int(u))
-        if not initial:
-            self.regens += 1
+        return self.gen(theta, self.seed + 997 * self.epoch + 1)
 
-    def _ids(self, u: int) -> np.ndarray:
-        return self.rr.rr_ids_for(u, self.adv)
-
-    def pi_hat(self) -> float:
-        return self.cpe_i * self.n * self.cov / self.rr.n_rr
-
-    def gain(self, u: int) -> float:
-        ids = self._ids(u)
-        if len(ids) == 0:
-            return 0.0
-        newly = int(np.count_nonzero(~self.covered[ids]))
-        return self.cpe_i * self.n * newly / self.rr.n_rr
-
-    def add(self, u: int) -> None:
-        ids = self._ids(u)
-        if len(ids):
-            newly = ids[~self.covered[ids]]
-            self.covered[newly] = True
-            self.cov += len(newly)
-
-    def maybe_double(self, current_seeds) -> bool:
-        """Double the latent seed size and regenerate when |S_i| hits it."""
-        if len(current_seeds) < self.s_latent:
+    def maybe_double(self, n_seeds: int) -> bool:
+        """Double the latent seed size and regenerate ``rr`` when |S_i|
+        reaches it."""
+        if n_seeds < self.s_latent:
             return False
         if self.max_latent is not None and self.s_latent >= self.max_latent:
             return False
         self.s_latent *= 2
         self.epoch += 1
-        self._resample(initial=False, current_seeds=current_seeds)
+        self.rr = self._sample()
+        self.regens += 1
         return True
 
 
@@ -144,20 +115,18 @@ def ti_rm(
     """Run TI-CARM (rule="gain") or TI-CSRM (rule="rate").
 
     ``rr_gen_adv(adv, n_rr, seed)`` generates RR sets with advertiser
-    ``adv``'s probabilities only. ``max_latent`` caps the latent-seed-size
-    doubling (regenerations stop once s_i reaches it) — a runtime bound for
-    the scaled-down reproduction; set None for unbounded TIM behaviour.
+    ``adv``'s probabilities only, under the one-hot cpe vector that carries
+    cpe_i: π̂_i is coverage over that collection, so ``cpe`` itself is not
+    read. ``max_latent`` caps the latent-seed-size doubling (regenerations
+    stop once s_i reaches it) — a runtime bound for the scaled-down
+    reproduction; set None for unbounded TIM behaviour.
     """
     assert rule in ("gain", "rate")
     costs = np.asarray(costs, dtype=np.float64)
     budgets = np.asarray(budgets, dtype=np.float64)
     h = len(budgets)
-    n = csr.n
     samples = [
         _AdvSample(
-            i,
-            cpe[i],
-            n,
             lambda n_rr, s, i=i: rr_gen_adv(i, n_rr, s),
             csr,
             eps,
@@ -170,6 +139,15 @@ def ti_rm(
         for i in range(h)
     ]
     alloc = [set() for _ in range(h)]
+
+    def coverage(i):
+        """Coverage state of S_i on advertiser i's current sample."""
+        state = CoverageRevenueModel(samples[i].rr).state()
+        for u in alloc[i]:
+            state.add(u, i)
+        return state
+
+    states = [coverage(i) for i in range(h)]
     spend = np.zeros(h)
     used: set[int] = set()
     closed: set[int] = set()
@@ -178,9 +156,7 @@ def ti_rm(
     def entries(i):
         """Advertiser i's feasible unused nodes on its current sample,
         tagged with its epoch (entries of older epochs are skipped)."""
-        s = samples[i]
-        counts = s.rr.singleton_cover_counts()[i].astype(np.float64)
-        g0 = s.cpe_i * n * counts / s.rr.n_rr
+        g0 = states[i].model.singleton_pi()[i]
         ok = costs[i] + (1.0 + eps) * g0 <= budgets[i] + EPS
         ok[list(used)] = False
         nodes = np.flatnonzero(ok)
@@ -188,14 +164,15 @@ def ti_rm(
         return presorted(keys, nodes, np.full(len(nodes), i), epoch_of[i])
 
     def visit(u, i, g):
-        s = samples[i]
         # Conservative feasibility: inflate the revenue estimate by (1+ε).
-        if spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + EPS:
-            s.add(u)
+        pi = states[i].pi_i(i)
+        if spend[i] + costs[i, u] + (1.0 + eps) * (pi + g) <= budgets[i] + EPS:
+            states[i].add(u, i)
             alloc[i].add(u)
             used.add(u)
             spend[i] += costs[i, u]
-            if s.maybe_double(alloc[i]):
+            if samples[i].maybe_double(len(alloc[i])):
+                states[i] = coverage(i)
                 epoch_of[i] += 1
                 push_all(heap, entries(i))
         else:
@@ -204,7 +181,7 @@ def ti_rm(
     heap: list = []  # epoch re-pushes
     celf(
         sorted(e for i in range(h) for e in entries(i)),
-        lambda u, i: samples[i].gain(u),
+        lambda u, i: states[i].gain(u, i),
         visit,
         used=used,
         closed=closed,

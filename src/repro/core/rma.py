@@ -35,6 +35,14 @@ from repro.core.rm_oracle import approx_ratio, rm_with_oracle
 from repro.core.seekub import seek_ub
 from repro.influence.rrset import RRCollection
 
+# §4.4 extension: before returning, if the holdout estimate π̃(S⃗*, R₂) is
+# below ``BIAS_THRESHOLD``·π̃(S⃗*, R₁) (the solution overfits R₁), enlarge
+# both collections to ``BIAS_FACTOR``× their size and re-solve, within
+# θ_max and ``rr_cap``. This does not affect the theoretical guarantee and
+# improves empirical revenue on small samples.
+BIAS_THRESHOLD = 0.8
+BIAS_FACTOR = 4
+
 
 @dataclass
 class RMAResult:
@@ -68,18 +76,10 @@ def rm_without_oracle(
     sample_scale: float = 1.0,
     rr_cap: int | None = None,
     seed: int = 7,
-    bias_check: bool = True,
-    bias_threshold: float = 0.8,
-    bias_factor: int = 4,
 ) -> RMAResult:
     """Run RMA. ``rr_gen(n_rr, seed)`` produces a fresh RR collection.
-
-    ``bias_check`` enables the §4.4 extension: before returning, if the
-    holdout estimate π̃(S⃗*, R₂) is below ``bias_threshold``·π̃(S⃗*, R₁)
-    (the solution overfits R₁), enlarge both collections by
-    ``bias_factor``× and re-solve. This does not affect the theoretical
-    guarantee and improves empirical revenue on small samples.
-    """
+    Before returning, the §4.4 bias check may enlarge both collections and
+    re-solve (``BIAS_THRESHOLD``, ``BIAS_FACTOR``)."""
     costs = np.asarray(costs, dtype=np.float64)
     budgets = np.asarray(budgets, dtype=np.float64)
     cpe = np.asarray(cpe, dtype=np.float64)
@@ -141,17 +141,16 @@ def rm_without_oracle(
             r1 = r1.merge(rr_gen(r1.n_rr, seed * 1_000_003 + 100 + 2 * rounds))
             r2 = r2.merge(rr_gen(r2.n_rr, seed * 1_000_003 + 101 + 2 * rounds))
             continue
-        # §4.4 extension: detect overfitting to R₁ via the holdout ratio and
-        # re-solve on enlarged collections if the solution does not
-        # generalise. At most a few enlargements, bounded by rr_cap.
+        # §4.4 bias check: re-solve on enlarged collections if the solution
+        # does not generalise to R₂. At most a few enlargements, bounded by
+        # θ_max and rr_cap.
         if (
-            bias_check
-            and res.pi_star > 0
-            and pi2_total < bias_threshold * res.pi_star
-            and (rr_cap is None or r1.n_rr * bias_factor <= rr_cap)
-            and r1.n_rr * bias_factor <= max(theta_max, r1.n_rr)
+            res.pi_star > 0
+            and pi2_total < BIAS_THRESHOLD * res.pi_star
+            and (rr_cap is None or r1.n_rr * BIAS_FACTOR <= rr_cap)
+            and r1.n_rr * BIAS_FACTOR <= max(theta_max, r1.n_rr)
         ):
-            extra = r1.n_rr * (bias_factor - 1)
+            extra = r1.n_rr * (BIAS_FACTOR - 1)
             r1 = r1.merge(rr_gen(extra, seed * 1_000_003 + 500 + 2 * rounds))
             r2 = r2.merge(rr_gen(extra, seed * 1_000_003 + 501 + 2 * rounds))
             continue

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.costs.incentives import seed_costs
@@ -116,7 +115,6 @@ class Instance:
     directed: bool
     cpe: np.ndarray
     budgets: np.ndarray
-    edge_probs: np.ndarray  # (h, m) or (1, m); input-edge order
     shared_probs: bool
     csr: CSRGraph
     sigma1: np.ndarray  # (h, n) singleton spread estimates
@@ -127,11 +125,6 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.src)
-
-    def edges_probs_pdf(self, adv: int) -> pd.DataFrame:
-        """(src, dst, p) for advertiser ``adv`` — input to the Spark MC."""
-        row = self.edge_probs[0 if self.shared_probs else adv]
-        return pd.DataFrame({"src": self.src, "dst": self.dst, "p": row})
 
     def rr_gen(self, spark: SparkSession, kernel: str = "standard"):
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
@@ -216,7 +209,6 @@ def build_instance(
         directed=cfg["directed"],
         cpe=cpe,
         budgets=budgets,
-        edge_probs=np.atleast_2d(probs),
         shared_probs=shared,
         csr=csr,
         sigma1=sigma1,

@@ -1,10 +1,10 @@
-"""CSR adjacency with per-advertiser activation probabilities.
+"""CSR in-adjacency with per-advertiser activation probabilities.
 
-The RR-set kernels traverse *in*-edges (reverse reachability), the forward
-Monte-Carlo simulator traverses *out*-edges. Both layouts are built once per
-instance and broadcast to executors. Probabilities are stored aligned to the
-in-CSR edge order, one row per advertiser (or a single shared row under the
-Weighted-Cascade model, where all ads share ``p_uv = 1/indeg(v)``).
+The RR-set kernels traverse *in*-edges (reverse reachability); the layout
+is built once per instance and broadcast to executors. Probabilities are
+stored aligned to the in-CSR edge order, one row per advertiser (or a
+single shared row under the Weighted-Cascade model, where all ads share
+``p_uv = 1/indeg(v)``).
 
 For the SUBSIM kernel we additionally pre-sort each node's in-edge slice by
 probability (descending) per advertiser, so the geometric-skipping sampler
@@ -30,25 +30,14 @@ class CSRGraph:
     # (h, m) probabilities aligned to in-CSR order; (1, m) when shared.
     in_probs: np.ndarray
     shared_probs: bool
-    # Out-CSR for forward propagation.
-    out_indptr: np.ndarray
-    out_indices: np.ndarray
-    out_probs: np.ndarray  # aligned to out-CSR order, same row convention
     # SUBSIM auxiliaries, aligned to in-CSR slices, sorted desc by prob.
     in_probs_sorted: np.ndarray = field(repr=False, default=None)
     in_indices_sorted: np.ndarray = field(repr=False, default=None)
     # True where all in-edge probs of a node are equal for that advertiser.
     in_equal_prob: np.ndarray = field(repr=False, default=None)
 
-    def probs_row(self, adv: int) -> np.ndarray:
-        """In-CSR-aligned probability row for advertiser ``adv``."""
-        return self.in_probs[0 if self.shared_probs else adv]
 
-    def out_probs_row(self, adv: int) -> np.ndarray:
-        return self.out_probs[0 if self.shared_probs else adv]
-
-
-def _csr_order(key: np.ndarray, other: np.ndarray, n: int):
+def _csr_order(key: np.ndarray, n: int):
     """Sort edges by ``key``; return (indptr, order) for a CSR over key."""
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=n)
@@ -66,7 +55,7 @@ def build_csr(
     h: int,
     shared_probs: bool,
 ) -> CSRGraph:
-    """Assemble in/out CSR layouts plus SUBSIM auxiliaries.
+    """Assemble the in-CSR layout plus SUBSIM auxiliaries.
 
     ``probs`` has shape (h, m) (edge order = input edge order) or (m,) when
     shared across advertisers.
@@ -78,14 +67,10 @@ def build_csr(
     else:
         assert probs2d.shape == (h, m)
 
-    in_indptr, in_order = _csr_order(dst, src, n)
+    in_indptr, in_order = _csr_order(dst, n)
     in_indices = src[in_order].astype(np.int64)
     # C order: the kernels gather ``in_probs.ravel()[row * m + e]``.
     in_probs = np.ascontiguousarray(probs2d[:, in_order])
-
-    out_indptr, out_order = _csr_order(src, dst, n)
-    out_indices = dst[out_order].astype(np.int64)
-    out_probs = probs2d[:, out_order]
 
     # SUBSIM auxiliaries: each in-slice sorted by descending probability
     # (stable, so ties keep in-CSR order), and the equal-probability flag.
@@ -109,9 +94,6 @@ def build_csr(
         in_indices=in_indices,
         in_probs=in_probs,
         shared_probs=shared_probs,
-        out_indptr=out_indptr,
-        out_indices=out_indices,
-        out_probs=out_probs,
         in_probs_sorted=in_probs_sorted,
         in_indices_sorted=in_indices_sorted,
         in_equal_prob=in_equal_prob,

@@ -1,14 +1,10 @@
-"""Influence-propagation substrate: RR sets, forward MC, exact enumeration."""
+"""Influence-propagation substrate: RR sets, coverage evaluation, exact enumeration."""
 from repro.influence.rrset import (
     RRCollection,
     generate_rr_collection,
     generate_rr_local,
 )
-from repro.influence.spread import (
-    exact_spread_enum,
-    mc_spread_local,
-    mc_spread_spark,
-)
+from repro.influence.spread import exact_spread_enum
 from repro.influence.evaluate import evaluate_revenue, singleton_spreads
 
 __all__ = [
@@ -16,8 +12,6 @@ __all__ = [
     "generate_rr_collection",
     "generate_rr_local",
     "exact_spread_enum",
-    "mc_spread_local",
-    "mc_spread_spark",
     "evaluate_revenue",
     "singleton_spreads",
 ]

@@ -463,8 +463,10 @@ def generate_rr_collection(
                 yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
 
     tasks = spark.range(0, n_chunks, numPartitions=num_partitions)
-    pdf = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toPandas()
+    # ``toArrow`` collects Arrow batches whatever the session's
+    # ``spark.sql.execution.arrow.pyspark.enabled`` (``toPandas`` without it
+    # falls back to pickled Rows).
+    table = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toArrow()
     bc.unpersist()
-    cols = [pdf[c].to_numpy(dtype=np.int64) for c in ("rr_id", "adv", "node")]
-    del pdf
+    cols = [table[c].to_numpy() for c in ("rr_id", "adv", "node")]
     return _assemble(csr.n, csr.h, cpe, n_rr, *cols)

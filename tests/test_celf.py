@@ -283,29 +283,47 @@ KW = dict(eps=0.1, ell=1.0, sample_scale=0.05, rr_cap=300, max_latent=4)
 
 
 def eager_ti(gen_adv, csr, costs, budgets, cpe, *, rule, seed):
+    """TI selection with its own coverage count: advertiser i's uncovered
+    sets among ``rr_ids_for(u, i)`` against a covered mask kept here, times
+    the collection's π̃ per set (so both sides round alike)."""
     n, h, eps = csr.n, len(budgets), KW["eps"]
     samples = [
         _AdvSample(
-            i, cpe[i], n, lambda n_rr, s, i=i: gen_adv(i, n_rr, s), csr, eps,
-            KW["ell"], KW["sample_scale"], KW["rr_cap"], seed + 17 * i, KW["max_latent"],
+            lambda n_rr, s, i=i: gen_adv(i, n_rr, s), csr, eps, KW["ell"],
+            KW["sample_scale"], KW["rr_cap"], seed + 17 * i, KW["max_latent"],
         )
         for i in range(h)
     ]
     alloc, spend = [set() for _ in range(h)], [0.0] * h
     used, closed = set(), set()
+    covered, factor = [None] * h, [0.0] * h
+
+    def recount(i):
+        rr = samples[i].rr
+        covered[i] = np.zeros(rr.n_rr, dtype=bool)
+        for u in alloc[i]:
+            covered[i][rr.rr_ids_for(u, i)] = True
+        factor[i] = CoverageRevenueModel(rr).factor
+
+    def gain(u, i):
+        ids = samples[i].rr.rr_ids_for(u, i)
+        return int(np.count_nonzero(~covered[i][ids])) * factor[i]
 
     def pushed(i):
-        s = samples[i]
-        g0 = s.cpe_i * n * s.rr.singleton_cover_counts()[i].astype(np.float64) / s.rr.n_rr
+        rr = samples[i].rr
         return {
             (u, i) for u in range(n)
-            if u not in used and costs[i, u] + (1.0 + eps) * g0[u] <= budgets[i] + EPS
+            if u not in used
+            and costs[i, u] + (1.0 + eps) * (len(rr.rr_ids_for(u, i)) * factor[i])
+            <= budgets[i] + EPS
         }
 
     def key(u, i):
-        g = samples[i].gain(u)
+        g = gain(u, i)
         return g if rule == "gain" else _rate(g, float(costs[i, u]))
 
+    for i in range(h):
+        recount(i)
     live = set().union(*(pushed(i) for i in range(h)))
     while len(closed) < h:
         live = {(u, i) for u, i in live if u not in used and i not in closed}
@@ -313,14 +331,15 @@ def eager_ti(gen_adv, csr, costs, budgets, cpe, *, rule, seed):
             break
         u, i = min(live, key=lambda e: (-key(*e), e[0], e[1]))
         live.discard((u, i))
-        s = samples[i]
-        g = s.gain(u)
-        if spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + EPS:
-            s.add(u)
+        g = gain(u, i)
+        pi_hat = int(covered[i].sum()) * factor[i]
+        if spend[i] + costs[i, u] + (1.0 + eps) * (pi_hat + g) <= budgets[i] + EPS:
+            covered[i][samples[i].rr.rr_ids_for(u, i)] = True
             alloc[i].add(u)
             used.add(u)
             spend[i] += costs[i, u]
-            if s.maybe_double(alloc[i]):
+            if samples[i].maybe_double(len(alloc[i])):
+                recount(i)
                 live = {e for e in live if e[1] != i} | pushed(i)
         else:
             closed.add(i)

@@ -1,4 +1,4 @@
-"""Tests for the CSR adjacency layout and SUBSIM auxiliaries."""
+"""Tests for the CSR in-adjacency layout and SUBSIM auxiliaries."""
 import numpy as np
 import pytest
 
@@ -8,10 +8,6 @@ from repro.graphs.generators import powerlaw_edges
 
 def _ref_in_neighbors(src, dst, v):
     return sorted(src[dst == v].tolist())
-
-
-def _ref_out_neighbors(src, dst, v):
-    return sorted(dst[src == v].tolist())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -24,8 +20,6 @@ def test_csr_matches_edge_list(seed):
     for v in range(n):
         lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
         assert sorted(csr.in_indices[lo:hi].tolist()) == _ref_in_neighbors(src, dst, v)
-        lo, hi = csr.out_indptr[v], csr.out_indptr[v + 1]
-        assert sorted(csr.out_indices[lo:hi].tolist()) == _ref_out_neighbors(src, dst, v)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -43,9 +37,6 @@ def test_probs_aligned(seed):
         for k in range(csr.in_indptr[v], csr.in_indptr[v + 1]):
             u = int(csr.in_indices[k])
             assert np.allclose(csr.in_probs[:, k], ref[(u, v)])
-        for k in range(csr.out_indptr[v], csr.out_indptr[v + 1]):
-            w = int(csr.out_indices[k])
-            assert np.allclose(csr.out_probs[:, k], ref[(v, w)])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -84,17 +75,6 @@ def test_equal_prob_flag_heterogeneous():
     csr = build_csr(3, src, dst, probs, h=1, shared_probs=True)
     assert not csr.in_equal_prob[0, 2]
     assert csr.in_equal_prob[0, 0] and csr.in_equal_prob[0, 1]  # no in-edges
-
-
-def test_probs_row_shared_vs_per_adv():
-    src = np.array([0], dtype=np.int64)
-    dst = np.array([1], dtype=np.int64)
-    shared = build_csr(2, src, dst, np.array([[0.5]]), h=3, shared_probs=True)
-    assert shared.probs_row(2)[0] == 0.5
-    per = build_csr(
-        2, src, dst, np.array([[0.1], [0.2], [0.3]]), h=3, shared_probs=False
-    )
-    assert per.probs_row(1)[0] == 0.2
 
 
 def _ref_subsim_aux(n, csr):

@@ -43,7 +43,7 @@ def test_tiny_instance_shapes(tiny_inst):
     assert inst.sigma1.shape == (3, 60)
     assert np.all(inst.sigma1 >= 1.0)
     assert np.all(inst.costs > 0) or np.any(inst.costs == 0)  # ≥ 0 by model
-    assert inst.edge_probs.shape[0] == 3
+    assert inst.csr.in_probs.shape == (3, inst.m)
     assert inst.csr.n == 60
 
 
@@ -68,13 +68,6 @@ def test_eval_rr_cached(spark, tiny_inst):
     assert a.n_rr == 5000
 
 
-def test_edges_probs_pdf(tiny_inst):
-    pdf = tiny_inst.edges_probs_pdf(1)
-    assert set(pdf.columns) == {"src", "dst", "p"}
-    assert len(pdf) == tiny_inst.m
-    assert np.allclose(pdf["p"].to_numpy(), tiny_inst.edge_probs[1])
-
-
 def test_wc_instance_budget_override(spark):
     inst = build_instance(
         spark, "tiny_wc" if "tiny_wc" in PRESETS else "dblp_lite",
@@ -83,9 +76,13 @@ def test_wc_instance_budget_override(spark):
     assert inst.h == 2
     assert np.allclose(inst.budgets, 100.0)
     assert inst.shared_probs
-    # WC probabilities: each in-edge of v carries 1/indeg(v).
+    # WC probabilities: each in-slice of v carries 1/indeg(v).
     indeg = np.bincount(inst.dst, minlength=inst.n)
-    assert np.allclose(inst.edge_probs[0], 1.0 / indeg[inst.dst])
+    csr = inst.csr
+    assert np.array_equal(np.diff(csr.in_indptr), indeg)
+    assert csr.in_probs.shape == (1, inst.m)
+    head = np.repeat(np.arange(inst.n), indeg)  # v of each in-CSR slot
+    assert np.allclose(csr.in_probs[0], 1.0 / indeg[head])
 
 
 @pytest.mark.parametrize("n_rr", [0, 700, 5000])

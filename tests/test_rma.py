@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.model import CoverageRevenueModel, RMProblem, brute_force_opt
 from repro.core.rm_oracle import approx_ratio
-from repro.core.rma import rm_without_oracle
+from repro.core.rma import BIAS_FACTOR, BIAS_THRESHOLD, rm_without_oracle
 from repro.costs.incentives import seed_costs
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import evaluate_revenue, singleton_spreads
-from repro.influence.rrset import generate_rr_local
+from repro.influence.rrset import from_memberships, generate_rr_local
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +130,45 @@ def test_rma_tiny_instance_ratio():
     rev, _ = evaluate_revenue(big, res.allocation)
     lam = approx_ratio(h, 0.1)
     assert rev >= (lam - 0.1) * opt * 0.9  # 0.9: eval sampling slack
+
+
+def test_bias_check_enlarges_both_collections():
+    """§4.4: after a β stop, a solution whose R₂ estimate falls below
+    ``BIAS_THRESHOLD`` of its R₁ estimate makes RMA add 3·|R₁| sets to both
+    collections and re-solve, until the next enlargement would pass
+    ``rr_cap``.
+
+    Only node 0 is affordable. Every R₁ set is {0}; R₂'s sets are {0} three
+    times in four and {1} otherwise, so π̃(S⃗*, R₂) = 0.75·π̃(S⃗*, R₁) while
+    β still clears λ−ε. ``rr_gen`` is called in (R₁, R₂) pairs.
+    """
+    n, cap = 16, 4096
+    cpe = np.array([1.0])
+    costs = np.full((1, n), 100.0)
+    costs[0, 0] = 0.5
+    calls = []
+
+    def spy(n_rr, seed):
+        for_r1 = len(calls) % 2 == 0
+        calls.append(n_rr)
+        assert len(calls) <= 40, "RMA does not return"
+        sets = [{0} if for_r1 or k % 4 < 3 else {1} for k in range(n_rr)]
+        return from_memberships(n, 1, cpe, [(0, s) for s in sets])
+
+    assert 0.75 < BIAS_THRESHOLD
+    res = rm_without_oracle(
+        spy, costs, np.array([40.0]), cpe, n, eps=0.2, rho=0.5, rr_cap=cap, seed=3
+    )
+    assert res.stopped_by == "beta"
+    assert res.allocation == [{0}]
+    assert len(calls) % 2 == 0
+    size, enlargements = calls[0], 0
+    for r1_ask, r2_ask in zip(calls[2::2], calls[3::2]):
+        assert r1_ask == r2_ask
+        assert r1_ask in (size, (BIAS_FACTOR - 1) * size)
+        enlargements += r1_ask == (BIAS_FACTOR - 1) * size
+        size += r1_ask
+        assert size <= cap
+    assert enlargements >= 2
+    assert res.n_rr_r1 == res.n_rr_r2 == size
+    assert size * BIAS_FACTOR > cap

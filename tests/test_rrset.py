@@ -146,24 +146,35 @@ def local_rr(small_csr):
     }
 
 
+BATCH = "spark.sql.execution.arrow.maxRecordsPerBatch"
+ARROW = "spark.sql.execution.arrow.pyspark.enabled"
+# (num_partitions, session settings): every Arrow batch size at every
+# partition count, and a session with the pandas Arrow flag off.
+SESSIONS = [
+    pytest.param(p, {BATCH: str(b)}, id=f"{p}-{b}")
+    for p in (1, 3, 8)
+    for b in (1, 10000)
+] + [pytest.param(3, {ARROW: "false"}, id="3-arrow_off")]
+
+
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
-@pytest.mark.parametrize("batch", [1, 10000])
-@pytest.mark.parametrize("num_partitions", [1, 3, 8])
+@pytest.mark.parametrize("num_partitions,conf", SESSIONS)
 def test_spark_generation_equals_local(
-    spark, small_csr, local_rr, kernel, batch, num_partitions
+    spark, small_csr, local_rr, kernel, num_partitions, conf
 ):
     """RR set k depends on (graph, cpe, kernel, seed, k) only: no partition
-    count or Arrow batch size changes the collection."""
-    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
-    old = spark.conf.get(key)
-    spark.conf.set(key, str(batch))
+    count, Arrow batch size or Arrow session flag changes the collection."""
+    old = {key: spark.conf.get(key) for key in conf}
+    for key, value in conf.items():
+        spark.conf.set(key, value)
     try:
         dist = generate_rr_collection(
             spark, small_csr, CPE, N_EXACT, seed=12, kernel=kernel,
             num_partitions=num_partitions,
         )
     finally:
-        spark.conf.set(key, old)
+        for key, value in old.items():
+            spark.conf.set(key, value)
     assert_same_collection(dist, local_rr[kernel])
 
 
