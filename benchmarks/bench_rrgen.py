@@ -11,7 +11,7 @@ import pytest
 
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
-from repro.graphs.tic import ad_mixtures, tic_topic_entries
+from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries
 from repro.influence.rrset import generate_rr_local
 
 
@@ -53,14 +53,12 @@ def test_rrgen_tic(benchmark, tic_graph, kernel):
 
 @pytest.fixture(scope="module")
 def lastfm_tic_graph():
-    """A lastfm_lite-sized TIC graph (10 advertisers, 10 topics), mixed in
-    numpy: p^i_uv = Σ_z φ_i(z)·p̂^z_uv."""
+    """A lastfm_lite-sized TIC graph (10 advertisers, 10 topics):
+    p^i_uv = Σ_z φ_i(z)·p̂^z_uv."""
     n, h, L = 1300, 10, 10
     src, dst = powerlaw_edges(n, 14700, seed=65)
     topics = tic_topic_entries(len(src), L, seed=66, density=0.137, p_max=0.4)
-    p_hat = np.zeros((L, len(src)))
-    p_hat[topics["topic"], topics["edge_id"]] = topics["p_hat"]
-    probs = ad_mixtures(h, L, seed=67) @ p_hat
+    probs = tic_probs(topics, ad_mixtures(h, L, seed=67), len(src))
     return build_csr(n, src, dst, probs, h=h, shared_probs=False)
 
 

@@ -54,7 +54,7 @@ class RMAResult:
     n_rr_r1: int
     n_rr_r2: int
     theta_max: float
-    stopped_by: str  # "beta" | "theta_max" | "cap"
+    stopped_by: str  # "beta" | "theta_max" | "cap" | "no_budget"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -89,8 +89,17 @@ def rm_without_oracle(
     lam = approx_ratio(h, tau)
     delta_p = delta / 4.0
 
+    # A zero-budget advertiser can take no seed (c_i(u) + π_i({u}) ≥ cpe_i
+    # > 0), so it gets ∅ and the bounds use the smallest positive budget.
+    positive = budgets > 0
+    if not positive.any():
+        return RMAResult(
+            allocation=[set() for _ in range(h)], pi_est_r1=0.0, beta=0.0,
+            feasible=True, rounds=0, n_rr_r1=0, n_rr_r2=0, theta_max=0.0,
+            stopped_by="no_budget",
+        )
     gamma = float(cpe.sum())
-    b_min = float(budgets.min())
+    b_min = float(budgets[positive].min())
     mu = mu_per_advertiser(costs, budgets, rho)
     theta_max = max(
         theta_hat_max(n, eps, delta_p, lam, mu),
@@ -120,6 +129,8 @@ def rm_without_oracle(
         model2 = CoverageRevenueModel(r2)
         feasible = True
         for i in range(h):
+            if not positive[i]:  # Algorithm 5 gives it ∅: no seed fits
+                continue
             pi2_i = model2.pi_of(i, alloc[i])
             ub_i = ub_mean(pi2_i, r2.n_rr, n_gamma, q)
             c_i = float(sum(costs[i, int(u)] for u in alloc[i]))

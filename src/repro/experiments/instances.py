@@ -5,10 +5,11 @@ Presets are laptop-scale synthetic stand-ins for the paper's datasets
 the others are scaled down, with budgets scaled by the node-count ratio so
 budget-to-reachable-revenue ratios are preserved.
 
-Building an instance runs the Spark substrate end-to-end: edge generation,
-TIC/WC probability materialisation (Spark SQL), CSR assembly, and singleton
-spread estimation from a dedicated RR collection (on the driver, or Spark
-mapInPandas for large ones), then attaches the seed-incentive costs.
+Building an instance runs edge generation, TIC/WC probability mixing and
+CSR assembly on the driver (numpy), then singleton spread estimation from a
+dedicated RR collection (on the driver, or Spark mapInPandas for large
+ones), then attaches the seed-incentive costs. Only that RR collection can
+start a Spark job.
 """
 from __future__ import annotations
 
@@ -19,15 +20,8 @@ from pyspark.sql import SparkSession
 
 from repro.costs.incentives import seed_costs
 from repro.graphs.csr import CSRGraph, build_csr
-from repro.graphs.generators import edges_to_spark, powerlaw_edges, symmetrize
-from repro.graphs.tic import (
-    ad_mixtures,
-    collect_edge_adv_probs,
-    collect_edge_probs,
-    tic_probs_spark,
-    tic_topic_entries,
-    wc_probs_spark,
-)
+from repro.graphs.generators import powerlaw_edges, symmetrize
+from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries, wc_probs
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
     RRCollection,
@@ -145,23 +139,20 @@ class Instance:
         return gen
 
 
-def _graph_and_probs(spark: SparkSession, cfg: dict):
+def _graph_and_probs(cfg: dict):
     src, dst = powerlaw_edges(cfg["n"], cfg["m"], seed=cfg["seed"])
     if not cfg["directed"]:
         src, dst = symmetrize(src, dst)
     m = len(src)
     if cfg["model"] == "tic":
-        h = cfg["h"]
         topic_pdf = tic_topic_entries(
             m, cfg["L"], seed=cfg["seed"] + 1, density=cfg["density"], p_max=cfg["p_max"]
         )
-        phi = ad_mixtures(h, cfg["L"], seed=cfg["seed"] + 2)
-        probs_df = tic_probs_spark(spark, topic_pdf, phi)
-        probs = collect_edge_adv_probs(probs_df, h, m)
+        phi = ad_mixtures(cfg["h"], cfg["L"], seed=cfg["seed"] + 2)
+        probs = tic_probs(topic_pdf, phi, m)
         shared = False
     else:
-        edges_df = edges_to_spark(spark, src, dst)
-        probs = collect_edge_probs(wc_probs_spark(spark, edges_df), m)[None, :]
+        probs = wc_probs(dst, cfg["n"])[None, :]
         shared = True
     return src, dst, probs, shared
 
@@ -179,7 +170,7 @@ def build_instance(
 ) -> Instance:
     """Assemble an instance from a preset (no caching — see get_instance)."""
     cfg = dict(PRESETS[preset])
-    src, dst, probs, shared = _graph_and_probs(spark, cfg)
+    src, dst, probs, shared = _graph_and_probs(cfg)
     n, m = cfg["n"], len(src)
     if cfg["model"] == "wc":
         h = h if h is not None else cfg["h"]

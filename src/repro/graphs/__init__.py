@@ -9,10 +9,10 @@ DESIGN.md § Substitutions.
 from repro.graphs.generators import powerlaw_edges, symmetrize
 from repro.graphs.csr import CSRGraph, build_csr
 from repro.graphs.tic import (
-    tic_probs_spark,
+    tic_probs,
     tic_topic_entries,
     ad_mixtures,
-    wc_probs_spark,
+    wc_probs,
 )
 
 __all__ = [
@@ -20,8 +20,8 @@ __all__ = [
     "symmetrize",
     "CSRGraph",
     "build_csr",
-    "tic_probs_spark",
+    "tic_probs",
     "tic_topic_entries",
     "ad_mixtures",
-    "wc_probs_spark",
+    "wc_probs",
 ]

@@ -6,13 +6,16 @@ stored aligned to the in-CSR edge order, one row per advertiser (or a
 single shared row under the Weighted-Cascade model, where all ads share
 ``p_uv = 1/indeg(v)``).
 
-For the SUBSIM kernel we additionally pre-sort each node's in-edge slice by
+For the SUBSIM kernel each node's in-edge slice is also sorted by
 probability (descending) per advertiser, so the geometric-skipping sampler
-can use the sorted prefix as its envelope.
+can use the sorted prefix as its envelope. Those arrays are built on first
+use and cached on the graph: the standard kernel never reads them, so a
+graph that only it samples does not carry them in its broadcast.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +33,39 @@ class CSRGraph:
     # (h, m) probabilities aligned to in-CSR order; (1, m) when shared.
     in_probs: np.ndarray
     shared_probs: bool
-    # SUBSIM auxiliaries, aligned to in-CSR slices, sorted desc by prob.
-    in_probs_sorted: np.ndarray = field(repr=False, default=None)
-    in_indices_sorted: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def subsim_aux(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SUBSIM auxiliaries: each in-slice sorted by descending probability
+        (stable, so ties keep in-CSR order), and the equal-probability flag.
+        Built once, on first use."""
+        n, in_indptr, in_probs = self.n, self.in_indptr, self.in_probs
+        segment = np.repeat(np.arange(n), np.diff(in_indptr))
+        order = np.stack([np.lexsort((-row, segment)) for row in in_probs])
+        in_probs_sorted = np.take_along_axis(in_probs, order, axis=1)
+        in_indices_sorted = self.in_indices[order]
+        in_equal_prob = np.ones((in_probs.shape[0], n), dtype=bool)
+        nonempty = np.flatnonzero(np.diff(in_indptr))
+        starts = in_indptr[nonempty]
+        spread = np.maximum.reduceat(in_probs, starts, axis=1) - np.minimum.reduceat(
+            in_probs, starts, axis=1
+        )
+        in_equal_prob[:, nonempty] = spread < 1e-15
+        return in_probs_sorted, in_indices_sorted, in_equal_prob
+
+    # Aligned to in-CSR slices, sorted desc by prob.
+    @property
+    def in_probs_sorted(self) -> np.ndarray:
+        return self.subsim_aux[0]
+
+    @property
+    def in_indices_sorted(self) -> np.ndarray:
+        return self.subsim_aux[1]
+
     # True where all in-edge probs of a node are equal for that advertiser.
-    in_equal_prob: np.ndarray = field(repr=False, default=None)
+    @property
+    def in_equal_prob(self) -> np.ndarray:
+        return self.subsim_aux[2]
 
 
 def _csr_order(key: np.ndarray, n: int):
@@ -55,7 +86,7 @@ def build_csr(
     h: int,
     shared_probs: bool,
 ) -> CSRGraph:
-    """Assemble the in-CSR layout plus SUBSIM auxiliaries.
+    """Assemble the in-CSR layout (the SUBSIM auxiliaries come on first use).
 
     ``probs`` has shape (h, m) (edge order = input edge order) or (m,) when
     shared across advertisers.
@@ -72,20 +103,6 @@ def build_csr(
     # C order: the kernels gather ``in_probs.ravel()[row * m + e]``.
     in_probs = np.ascontiguousarray(probs2d[:, in_order])
 
-    # SUBSIM auxiliaries: each in-slice sorted by descending probability
-    # (stable, so ties keep in-CSR order), and the equal-probability flag.
-    segment = np.repeat(np.arange(n), np.diff(in_indptr))
-    order = np.stack([np.lexsort((-row, segment)) for row in in_probs])
-    in_probs_sorted = np.take_along_axis(in_probs, order, axis=1)
-    in_indices_sorted = in_indices[order]
-    in_equal_prob = np.ones((in_probs.shape[0], n), dtype=bool)
-    nonempty = np.flatnonzero(np.diff(in_indptr))
-    starts = in_indptr[nonempty]
-    spread = np.maximum.reduceat(in_probs, starts, axis=1) - np.minimum.reduceat(
-        in_probs, starts, axis=1
-    )
-    in_equal_prob[:, nonempty] = spread < 1e-15
-
     return CSRGraph(
         n=n,
         m=m,
@@ -94,7 +111,4 @@ def build_csr(
         in_indices=in_indices,
         in_probs=in_probs,
         shared_probs=shared_probs,
-        in_probs_sorted=in_probs_sorted,
-        in_indices_sorted=in_indices_sorted,
-        in_equal_prob=in_equal_prob,
     )

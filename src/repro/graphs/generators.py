@@ -10,8 +10,6 @@ all see the same graph).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _zipf_ranks(g: np.random.Generator, n: int, size: int, alpha: float) -> np.ndarray:
@@ -61,20 +59,6 @@ def symmetrize(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray
     _, idx = np.unique(key, return_index=True)
     idx = np.sort(idx)
     return s[idx], d[idx]
-
-
-def edges_to_spark(
-    spark: SparkSession, src: np.ndarray, dst: np.ndarray
-) -> DataFrame:
-    """Edge list as a Spark DataFrame (edge_id, src, dst)."""
-    pdf = pd.DataFrame(
-        {
-            "edge_id": np.arange(len(src), dtype=np.int64),
-            "src": src.astype(np.int64),
-            "dst": dst.astype(np.int64),
-        }
-    )
-    return spark.createDataFrame(pdf)
 
 
 def degree_stats(src: np.ndarray, dst: np.ndarray, n: int) -> dict:

@@ -3,11 +3,14 @@
 Under TIC (Barbieri et al. [9], as used by the paper) each edge (u, v)
 carries per-topic probabilities ``p̂^z_{uv}`` and each ad i a topic mixture
 ``φ_i``; the ad-specific activation probability is
-``p^i_{uv} = Σ_z φ_i(z) · p̂^z_{uv}``.
+``p^i_{uv} = Σ_z φ_i(z) · p̂^z_{uv}``. Under Weighted Cascade (§5.2.3) all
+ads share ``p_uv = 1/indeg(v)``.
 
-The per-(edge, ad) mixing is a join + group-by aggregation, so we run it as
-a Spark SQL computation over (edge_id, topic, p_hat) and (adv, topic, phi)
-tables and verify it against DuckDB with ``repro.oracle.assert_equivalent``.
+Both are computed on the driver with numpy: the inputs are driver arrays
+and the RR kernels read a dense (h, m) array, so a distributed join +
+group-by would only add a shuffle round trip. The tests check the mixing
+against the same join + group-by written as SQL in DuckDB
+(``repro.oracle.assert_equivalent``).
 
 The paper learns ``p̂^z`` from action logs; we sample sparse per-topic
 probabilities with a per-preset density chosen to match the paper's reported
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
 
 
 def tic_topic_entries(
@@ -55,54 +56,23 @@ def ad_mixtures(h: int, L: int, *, seed: int, concentration: float = 0.25) -> np
     return x / x.sum(axis=1, keepdims=True)
 
 
-def mixtures_to_pdf(phi: np.ndarray) -> pd.DataFrame:
-    h, L = phi.shape
-    adv, topic = np.meshgrid(np.arange(h), np.arange(L), indexing="ij")
-    return pd.DataFrame(
-        {
-            "adv": adv.ravel().astype(np.int64),
-            "topic": topic.ravel().astype(np.int64),
-            "phi": phi.ravel(),
-        }
-    )
+def tic_probs(topic_pdf: pd.DataFrame, phi: np.ndarray, m: int) -> np.ndarray:
+    """p^i_{uv} = Σ_z φ_i(z)·p̂^z_{uv} as a dense (h, m) array.
 
-
-def tic_probs_spark(
-    spark: SparkSession, topic_pdf: pd.DataFrame, phi: np.ndarray
-) -> DataFrame:
-    """p^i_{uv} = Σ_z φ_i(z)·p̂^z_{uv} as a Spark aggregation.
-
-    Returns (edge_id, adv, p) with one row per edge-ad pair that has a
-    positive probability.
+    Topics are added one at a time in the order z = 0..L-1, so every entry
+    is the same left-to-right sum on any machine (a BLAS matmul leaves the
+    summation order open). Edge-ad pairs with no active topic stay 0.
     """
-    topics = spark.createDataFrame(topic_pdf)
-    ads = spark.createDataFrame(mixtures_to_pdf(phi))
-    return (
-        topics.join(ads, "topic")
-        .groupBy("edge_id", "adv")
-        .agg(F.sum(F.col("phi") * F.col("p_hat")).alias("p"))
-    )
-
-
-def collect_edge_adv_probs(df: DataFrame, h: int, m: int) -> np.ndarray:
-    """Materialise a (edge_id, adv, p) DataFrame into a dense (h, m) array."""
-    pdf = df.toPandas()
-    probs = np.zeros((h, m), dtype=np.float64)
-    probs[pdf["adv"].to_numpy(), pdf["edge_id"].to_numpy()] = pdf["p"].to_numpy()
+    edge = topic_pdf["edge_id"].to_numpy()
+    topic = topic_pdf["topic"].to_numpy()
+    p_hat = topic_pdf["p_hat"].to_numpy()
+    probs = np.zeros((phi.shape[0], m), dtype=np.float64)
+    for z in range(phi.shape[1]):
+        on = topic == z  # an edge holds each topic at most once
+        probs[:, edge[on]] += phi[:, z, None] * p_hat[on]
     return probs
 
 
-def wc_probs_spark(spark: SparkSession, edges_df: DataFrame) -> DataFrame:
-    """Weighted-Cascade probabilities p_uv = 1/indeg(v) as (edge_id, p)."""
-    indeg = edges_df.groupBy("dst").agg(F.count("*").alias("indeg"))
-    return edges_df.join(indeg, "dst").select(
-        "edge_id", (F.lit(1.0) / F.col("indeg")).alias("p")
-    )
-
-
-def collect_edge_probs(df: DataFrame, m: int) -> np.ndarray:
-    """Materialise an (edge_id, p) DataFrame into a dense (m,) array."""
-    pdf = df.toPandas()
-    probs = np.zeros(m, dtype=np.float64)
-    probs[pdf["edge_id"].to_numpy()] = pdf["p"].to_numpy()
-    return probs
+def wc_probs(dst: np.ndarray, n: int) -> np.ndarray:
+    """Weighted-Cascade probabilities p_uv = 1/indeg(v), one per edge."""
+    return 1.0 / np.bincount(dst, minlength=n)[dst]

@@ -450,6 +450,8 @@ def generate_rr_collection(
     if num_partitions is None:
         par = spark.sparkContext.defaultParallelism
         num_partitions = max(1, min(par * 2, n_chunks))
+    if kernel == "subsim":
+        csr.subsim_aux  # built once here, so the broadcast carries it
     bc = spark.sparkContext.broadcast((csr, cpe / cpe.sum()))
 
     def gen(batches):

@@ -1,11 +1,12 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over
+``tables`` and asserts the sorted rows match ``got`` (the result under
+test, computed by Spark or on the driver). This catches wrong results
+from a rewritten plan, a custom operator or a vectorised rewrite — "it
+ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
+``got`` and ``tables`` may be Spark or pandas DataFrames; Spark ones are
 collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
@@ -25,15 +26,19 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def _pandas(df: DataFrame | pd.DataFrame) -> pd.DataFrame:
+    return df.toPandas() if isinstance(df, DataFrame) else df
+
+
+def assert_equivalent(got: DataFrame | pd.DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, _pandas(t))
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = _pandas(got)
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

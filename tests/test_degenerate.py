@@ -1,9 +1,9 @@
 """Degenerate inputs: h = 1, a zero budget, an advertiser with no feasible node.
 
-Each goes through RM_with_Oracle (Algorithm 5) and TI-CARM/TI-CSRM. Both
-must return a valid allocation — disjoint, in range, one (possibly empty)
-seed set per advertiser — without raising, and the starved advertiser gets
-no seeds.
+Each goes through RM_with_Oracle (Algorithm 5), RM_without_Oracle
+(Algorithm 6) and TI-CARM/TI-CSRM. Each must return a valid allocation —
+disjoint, in range, one (possibly empty) seed set per advertiser — without
+raising, and the starved advertiser gets no seeds.
 """
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro.baselines.ti_carm import ti_rm
 from repro.core.model import CoverageRevenueModel, RMProblem
 from repro.core.rm_oracle import rm_with_oracle
+from repro.core.rma import rm_without_oracle
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.rrset import from_memberships, generate_rr_local
@@ -71,6 +72,48 @@ def test_rm_with_oracle_every_advertiser_starved():
     res = rm_with_oracle(prob, 0.1)
     assert res.allocation == [set(), set()]
     assert res.pi_star == 0.0
+
+
+# ---------------------------------------------------------------------------
+# RM_without_Oracle
+# ---------------------------------------------------------------------------
+
+
+def rma_world(h):
+    n = 60
+    src, dst = powerlaw_edges(n, 240, seed=71)
+    probs = np.random.default_rng(71).uniform(0.05, 0.3, size=(h, len(src)))
+    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    cpe = np.linspace(1.0, 2.0, h)
+    costs = np.random.default_rng(72).uniform(0.5, 2.0, size=(h, n))
+    return csr, cpe, costs, np.linspace(12.0, 20.0, h)
+
+
+@pytest.mark.parametrize("case", ["zero_budget", "no_feasible_node"])
+@pytest.mark.parametrize("h", [1, 2, 4])
+def test_rma_starved_advertiser(case, h):
+    csr, cpe, costs, budgets = rma_world(h)
+    costs, budgets = starve(costs, budgets, case, h - 1)
+    calls = []
+
+    def gen(n_rr, seed):
+        calls.append(n_rr)
+        return generate_rr_local(csr, cpe, n_rr, seed=seed)
+
+    rho = 0.1
+    res = rm_without_oracle(
+        gen, costs, budgets, cpe, csr.n, rho=rho, sample_scale=0.05,
+        rr_cap=4000, seed=3,
+    )
+    assert_valid(res.allocation, h, csr.n)
+    assert res.allocation[h - 1] == set()
+    # Algorithm 5 solves on R₁ under the budgets (1+ϱ/2)B_i.
+    for i in range(h):
+        assert sum(costs[i, u] for u in res.allocation[i]) <= (1 + rho / 2) * budgets[i]
+    if not (budgets > 0).any():  # every budget zero: nothing to sample
+        assert calls == [] and res.stopped_by == "no_budget"
+    else:
+        assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.generators import (
-    degree_stats,
-    edges_to_spark,
-    powerlaw_edges,
-    symmetrize,
-)
-from repro.oracle import assert_equivalent
-
-import pyspark.sql.functions as F
+from repro.graphs.generators import degree_stats, powerlaw_edges, symmetrize
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -62,22 +54,3 @@ def test_symmetrize_dedupes_reciprocal():
     dst = np.array([1, 0], dtype=np.int64)
     s, d = symmetrize(src, dst)
     assert len(s) == 2
-
-
-def test_degree_counts_vs_duckdb(spark):
-    """Spark out-degree aggregation matches DuckDB SQL over the edge list."""
-    src, dst = powerlaw_edges(120, 600, seed=7)
-    edges = edges_to_spark(spark, src, dst)
-    got = edges.groupBy("src").agg(F.count("*").alias("outdeg"))
-    assert_equivalent(
-        got,
-        "SELECT src, COUNT(*) AS outdeg FROM edges GROUP BY src",
-        edges=edges,
-    )
-
-
-def test_edges_to_spark_roundtrip(spark):
-    src, dst = powerlaw_edges(60, 200, seed=8)
-    pdf = edges_to_spark(spark, src, dst).toPandas().sort_values("edge_id")
-    assert np.array_equal(pdf["src"].to_numpy(), src)
-    assert np.array_equal(pdf["dst"].to_numpy(), dst)

@@ -107,3 +107,20 @@ def test_generate_dispatch_returns_the_same_collection(
     assert calls == ([n_rr] if min_members == 0 and n_rr > probe else [])
     for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_setup_starts_no_spark_job(spark):
+    """Building an instance and its evaluation collection on `tiny` runs on
+    the driver: the probabilities are mixed in numpy, and no RR collection
+    there is large enough to cross the measured local/Spark split."""
+    sc = spark.sparkContext
+    group = "instance-setup-on-the-driver"
+    sc.setJobGroup(group, "build_instance + get_eval_rr on tiny")
+    try:
+        inst = build_instance(spark, "tiny")
+        # A seed no other test uses, so the collection is generated here.
+        get_eval_rr(spark, inst, seed=515151)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []

@@ -1,4 +1,6 @@
 """Tests for RR-set generation: kernels, uniform sampling, indexing, Spark."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -176,6 +178,23 @@ def test_spark_generation_equals_local(
         for key, value in old.items():
             spark.conf.set(key, value)
     assert_same_collection(dist, local_rr[kernel])
+
+
+def test_subsim_aux_built_only_for_subsim(spark):
+    """The SUBSIM sorted slices are built when the SUBSIM kernel first runs,
+    on the driver before a Spark call broadcasts the graph, so a graph only
+    the standard kernel samples is broadcast without them."""
+    n = 80
+    src, dst = powerlaw_edges(n, 400, seed=23)
+    probs = np.random.default_rng(23).uniform(0.02, 0.35, size=(3, len(src)))
+    csr = build_csr(n, src, dst, probs, h=3, shared_probs=False)
+    generate_rr_local(csr, CPE, 500, seed=3)
+    generate_rr_collection(spark, csr, CPE, 500, seed=3)
+    assert "subsim_aux" not in vars(csr)
+    standard_bytes = len(pickle.dumps(csr))
+    generate_rr_collection(spark, csr, CPE, 500, seed=3, kernel="subsim")
+    assert "subsim_aux" in vars(csr)
+    assert len(pickle.dumps(csr)) > standard_bytes
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])

@@ -1,19 +1,10 @@
 """Tests for the TIC / Weighted-Cascade probability substrate."""
 import numpy as np
+import pandas as pd
 import pytest
 
-import pyspark.sql.functions as F
-
-from repro.graphs.generators import edges_to_spark, powerlaw_edges
-from repro.graphs.tic import (
-    ad_mixtures,
-    collect_edge_adv_probs,
-    collect_edge_probs,
-    mixtures_to_pdf,
-    tic_probs_spark,
-    tic_topic_entries,
-    wc_probs_spark,
-)
+from repro.graphs.generators import powerlaw_edges
+from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries, wc_probs
 from repro.oracle import assert_equivalent
 
 
@@ -35,32 +26,36 @@ def test_topic_entries_sparse(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_tic_probs_closed_form(spark, seed):
-    """Spark mixing p^i = Σ_z φ_i(z)·p̂^z matches the dense numpy product."""
+def test_tic_probs_closed_form(seed):
+    """The topic-by-topic mixing p^i = Σ_z φ_i(z)·p̂^z matches the dense
+    product φ · p̂ᵀ."""
     m, L, h = 400, 6, 4
     pdf = tic_topic_entries(m, L, seed=seed, density=0.3)
     phi = ad_mixtures(h, L, seed=seed + 1)
-    probs = collect_edge_adv_probs(tic_probs_spark(spark, pdf, phi), h, m)
+    probs = tic_probs(pdf, phi, m)
     dense = np.zeros((m, L))
     dense[pdf["edge_id"], pdf["topic"]] = pdf["p_hat"]
     assert np.allclose(probs, phi @ dense.T)
 
 
-def test_tic_probs_vs_duckdb(spark):
-    """The Spark join+group-by is equivalent to the same SQL in DuckDB."""
+def test_tic_probs_vs_duckdb():
+    """The nonzero entries of the mixing are the rows of the join + group-by
+    over (edge_id, topic, p_hat) and (adv, topic, phi), run in DuckDB."""
     m, L, h = 200, 5, 3
     pdf = tic_topic_entries(m, L, seed=11, density=0.4)
     phi = ad_mixtures(h, L, seed=12)
-    got = tic_probs_spark(spark, pdf, phi)
+    probs = tic_probs(pdf, phi, m)
+    adv, edge = np.nonzero(probs)
+    ad_topic = np.indices((h, L)).reshape(2, -1)
     assert_equivalent(
-        got,
+        pd.DataFrame({"edge_id": edge, "adv": adv, "p": probs[adv, edge]}),
         """
         SELECT t.edge_id, a.adv, SUM(a.phi * t.p_hat) AS p
         FROM topics t JOIN ads a ON t.topic = a.topic
         GROUP BY t.edge_id, a.adv
         """,
         topics=pdf,
-        ads=mixtures_to_pdf(phi),
+        ads=pd.DataFrame({"adv": ad_topic[0], "topic": ad_topic[1], "phi": phi.ravel()}),
     )
 
 
@@ -73,36 +68,33 @@ def test_positive_fraction_matches_density():
         assert abs(frac - expect) < 0.02
 
 
-def test_wc_probs(spark):
+def test_wc_probs():
     src, dst = powerlaw_edges(80, 400, seed=9)
-    edges = edges_to_spark(spark, src, dst)
-    probs = collect_edge_probs(wc_probs_spark(spark, edges), len(src))
-    indeg = np.bincount(dst, minlength=80)
-    assert np.allclose(probs, 1.0 / indeg[dst])
+    probs = wc_probs(dst, 80)
+    for e in range(len(src)):
+        assert probs[e] == 1.0 / np.count_nonzero(dst == dst[e])
 
 
-def test_wc_probs_vs_duckdb(spark):
+def test_wc_probs_vs_duckdb():
     src, dst = powerlaw_edges(60, 250, seed=10)
-    edges = edges_to_spark(spark, src, dst)
-    got = wc_probs_spark(spark, edges)
+    probs = wc_probs(dst, 60)
+    edge = np.flatnonzero(probs)
     assert_equivalent(
-        got,
+        pd.DataFrame({"edge_id": edge, "p": probs[edge]}),
         """
         SELECT e.edge_id, 1.0 / d.indeg AS p
         FROM edges e JOIN (
             SELECT dst, COUNT(*) AS indeg FROM edges GROUP BY dst
         ) d ON e.dst = d.dst
         """,
-        edges=edges,
+        edges=pd.DataFrame({"edge_id": np.arange(len(src)), "src": src, "dst": dst}),
     )
 
 
-def test_collect_edge_adv_probs_zero_fill(spark):
-    """Edge-ad pairs with no active topics collect as probability 0."""
-    import pandas as pd
-
+def test_collect_edge_adv_probs_zero_fill():
+    """Edge-ad pairs with no active topic get probability 0."""
     pdf = pd.DataFrame({"edge_id": [0], "topic": [0], "p_hat": [0.5]})
     phi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    probs = collect_edge_adv_probs(tic_probs_spark(spark, pdf, phi), 2, 3)
+    probs = tic_probs(pdf, phi, 3)
     assert probs[0, 0] == pytest.approx(0.5)
     assert probs[1, 0] == 0.0 and np.all(probs[:, 1:] == 0.0)
