@@ -102,7 +102,6 @@ def ti_rm(
     csr: CSRGraph,
     costs: np.ndarray,
     budgets: np.ndarray,
-    cpe: np.ndarray,
     *,
     rule: str,
     eps: float = 0.1,
@@ -116,10 +115,10 @@ def ti_rm(
 
     ``rr_gen_adv(adv, n_rr, seed)`` generates RR sets with advertiser
     ``adv``'s probabilities only, under the one-hot cpe vector that carries
-    cpe_i: π̂_i is coverage over that collection, so ``cpe`` itself is not
-    read. ``max_latent`` caps the latent-seed-size doubling (regenerations
-    stop once s_i reaches it) — a runtime bound for the scaled-down
-    reproduction; set None for unbounded TIM behaviour.
+    cpe_i: π̂_i is coverage over that collection. ``max_latent`` caps the
+    latent-seed-size doubling (regenerations stop once s_i reaches it) — a
+    runtime bound for the scaled-down reproduction; set None for unbounded
+    TIM behaviour.
     """
     assert rule in ("gain", "rate")
     costs = np.asarray(costs, dtype=np.float64)

@@ -139,7 +139,6 @@ def run_ti(
         inst.csr,
         inst.costs,
         budgets,
-        inst.cpe,
         rule=rule,
         eps=eps,
         sample_scale=sample_scale,

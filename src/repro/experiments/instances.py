@@ -7,7 +7,7 @@ budget-to-reachable-revenue ratios are preserved.
 
 Building an instance runs edge generation, TIC/WC probability mixing and
 CSR assembly on the driver (numpy), then singleton spread estimation from a
-dedicated RR collection (on the driver, or Spark mapInPandas for large
+dedicated RR collection (on the driver, or Spark mapInArrow for large
 ones), then attaches the seed-incentive costs. Only that RR collection can
 start a Spark job.
 """
@@ -163,32 +163,20 @@ def build_instance(
     *,
     alpha: float = 0.1,
     cost_model: str = "linear",
-    h: int | None = None,
-    uniform_budget: float | None = None,
-    n_sigma_rr: int | None = None,
-    budget_override: np.ndarray | None = None,
 ) -> Instance:
     """Assemble an instance from a preset (no caching — see get_instance)."""
-    cfg = dict(PRESETS[preset])
+    cfg = PRESETS[preset]
     src, dst, probs, shared = _graph_and_probs(cfg)
-    n, m = cfg["n"], len(src)
+    n, h = cfg["n"], cfg["h"]
     if cfg["model"] == "wc":
-        h = h if h is not None else cfg["h"]
-        b = uniform_budget if uniform_budget is not None else cfg["uniform_budget"]
-        budgets = np.full(h, float(b))
+        budgets = np.full(h, float(cfg["uniform_budget"]))
         cpe = np.full(h, float(cfg["uniform_cpe"]))
     else:
-        assert h is None or h == cfg["h"], "TIC presets fix h (Table 2 settings)"
-        h = cfg["h"]
         budgets = np.asarray(cfg["budgets"], dtype=np.float64)
         cpe = np.asarray(cfg["cpes"], dtype=np.float64)
-    if budget_override is not None:
-        budgets = np.asarray(budget_override, dtype=np.float64)
     csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
-    if n_sigma_rr is None:
-        n_sigma_rr = min(20 * n, 200_000)
     sigma1 = singleton_spreads(
-        _generate(spark, csr, cpe, n_sigma_rr, cfg["seed"] + 77)
+        _generate(spark, csr, cpe, min(20 * n, 200_000), cfg["seed"] + 77)
     )
     costs = seed_costs(sigma1, alpha, cost_model)
     return Instance(
@@ -219,17 +207,15 @@ def get_instance(
     *,
     alpha: float = 0.1,
     cost_model: str = "linear",
-    **kw,
 ) -> Instance:
     """Session-cached builder. The expensive parts (graph, probabilities,
-    CSR, singleton spreads) are cached independently of (α, cost model), so
-    sweeping α re-derives only the cost matrix."""
-    base_key = (preset, tuple(sorted((k, str(v)) for k, v in kw.items())))
-    if base_key not in _INSTANCE_CACHE:
-        _INSTANCE_CACHE[base_key] = build_instance(
-            spark, preset, alpha=alpha, cost_model=cost_model, **kw
+    CSR, singleton spreads) are cached per preset, independently of
+    (α, cost model), so sweeping α re-derives only the cost matrix."""
+    if preset not in _INSTANCE_CACHE:
+        _INSTANCE_CACHE[preset] = build_instance(
+            spark, preset, alpha=alpha, cost_model=cost_model
         )
-    base = _INSTANCE_CACHE[base_key]
+    base = _INSTANCE_CACHE[preset]
     if base.alpha == alpha and base.cost_model == cost_model:
         return base
     return replace(
@@ -244,7 +230,7 @@ def get_eval_rr(
     spark: SparkSession, inst: Instance, *, n_eval: int = 100_000, seed: int = 424242
 ) -> RRCollection:
     """Independent evaluation collection (the paper's 10^7-RR analogue)."""
-    key = (inst.name, inst.n, n_eval, seed)
+    key = (inst.name, n_eval, seed)
     if key not in _EVAL_CACHE:
         _EVAL_CACHE[key] = _generate(spark, inst.csr, inst.cpe, n_eval, seed)
     return _EVAL_CACHE[key]

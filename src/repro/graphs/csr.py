@@ -35,23 +35,12 @@ class CSRGraph:
     shared_probs: bool
 
     @cached_property
-    def subsim_aux(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def subsim_aux(self) -> tuple[np.ndarray, np.ndarray]:
         """SUBSIM auxiliaries: each in-slice sorted by descending probability
-        (stable, so ties keep in-CSR order), and the equal-probability flag.
-        Built once, on first use."""
-        n, in_indptr, in_probs = self.n, self.in_indptr, self.in_probs
-        segment = np.repeat(np.arange(n), np.diff(in_indptr))
-        order = np.stack([np.lexsort((-row, segment)) for row in in_probs])
-        in_probs_sorted = np.take_along_axis(in_probs, order, axis=1)
-        in_indices_sorted = self.in_indices[order]
-        in_equal_prob = np.ones((in_probs.shape[0], n), dtype=bool)
-        nonempty = np.flatnonzero(np.diff(in_indptr))
-        starts = in_indptr[nonempty]
-        spread = np.maximum.reduceat(in_probs, starts, axis=1) - np.minimum.reduceat(
-            in_probs, starts, axis=1
-        )
-        in_equal_prob[:, nonempty] = spread < 1e-15
-        return in_probs_sorted, in_indices_sorted, in_equal_prob
+        (stable, so ties keep in-CSR order). Built once, on first use."""
+        segment = np.repeat(np.arange(self.n), np.diff(self.in_indptr))
+        order = np.stack([np.lexsort((-row, segment)) for row in self.in_probs])
+        return np.take_along_axis(self.in_probs, order, axis=1), self.in_indices[order]
 
     # Aligned to in-CSR slices, sorted desc by prob.
     @property
@@ -61,11 +50,6 @@ class CSRGraph:
     @property
     def in_indices_sorted(self) -> np.ndarray:
         return self.subsim_aux[1]
-
-    # True where all in-edge probs of a node are equal for that advertiser.
-    @property
-    def in_equal_prob(self) -> np.ndarray:
-        return self.subsim_aux[2]
 
 
 def _csr_order(key: np.ndarray, n: int):

@@ -18,9 +18,11 @@ simulates exactly the sets it returns.
 
 Generation is the dominant cost of every RR-set algorithm (Appendix C), so
 it is the distributed piece: a task DataFrame (one row per id range of
-``_CHUNK`` sets) flows through ``mapInPandas`` with the CSR graph broadcast
-to executors; member rows come back as Arrow batches. The driver-local path
-simulates the same ranges, so both return identical collections.
+``_CHUNK`` sets) flows through ``mapInArrow`` with the CSR graph broadcast
+to executors, and each set comes back as one Arrow row ``(adv, nodes)``.
+The driver-local path simulates the same ranges, so both return identical
+collections. Either way a generated collection only ever takes the
+RR-major form: per-set advertisers and lengths, and the members set by set.
 
 A range is one level-synchronous reverse BFS over all of its sets (at most
 ``_CHUNK`` at a time, to bound memory): the frontier is a pair of arrays
@@ -32,9 +34,9 @@ whole frontier. Two kernels share this harness:
 - ``subsim``: subset sampling in the spirit of SUBSIM [34] — batched
   geometric skips over each entry's in-edges sorted by descending
   probability, thinning each hit by p_j/p_env against a per-entry running
-  envelope (O(1 + E[#selected]) per entry). When the probabilities are all
-  equal (the Weighted-Cascade case) the thinning always accepts and draws
-  nothing; entries with more than a few expected hits use the standard draw.
+  envelope (O(1 + E[#selected]) per entry). A hit whose probability equals
+  the envelope (every hit under Weighted-Cascade) is kept without a draw;
+  entries with more than a few expected hits use the standard draw.
 
 Both kernels draw from the *same distribution* over RR sets (tested), which
 is the property the paper relies on in Appendix D.2.
@@ -46,6 +48,7 @@ from functools import cached_property
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSRGraph
@@ -168,7 +171,6 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
     light = ~dense & (p_env > 0.0)
     k, p_env = k[light], p_env[light]
     fs, lo, d, rows = fs[k], lo[k], d[k], rows[k]
-    equal = g.in_equal_prob[rows, fv[k]]
     key = keys[fs]
     pos = np.zeros(len(k), dtype=np.int64)
     with np.errstate(divide="ignore"):  # p_env = 1: log1p(-1) = -inf, no skip
@@ -179,7 +181,7 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
             hit = j < d
             e = lo + np.minimum(j, d - 1)
             pj = g.in_probs_sorted[rows, e]
-            thin = hit & ~equal & (pj < p_env)
+            thin = hit & (pj < p_env)
             keep = hit & ~thin
             keep[thin] = _uniform(key[thin], e[thin], _THIN) < pj[thin] / p_env[thin]
             out_s.append(fs[keep])
@@ -188,7 +190,7 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
             pos = j + 1
             live = np.flatnonzero(hit & (pos < d) & (p_env > 0.0))
             fs, lo, d, rows = fs[live], lo[live], d[live], rows[live]
-            p_env, equal, pos, key = p_env[live], equal[live], pos[live], key[live]
+            p_env, pos, key = p_env[live], pos[live], key[live]
     return np.concatenate(out_s), np.concatenate(out_v)
 
 
@@ -206,8 +208,9 @@ _CHUNK = 4096
 
 def _simulate(first: int, stop: int, g: CSRGraph, cdf, seed: int, kernel: str):
     """RR sets first..stop-1 as one level-synchronous reverse BFS; returns
-    (rr_id, adv, node) rows in id order, root first in each set, then the
-    members level by level, each level in node order.
+    each set's advertiser and length, and the members of all sets in id
+    order: root first in each set, then level by level, each level in node
+    order.
 
     The frontier is a pair of arrays (set slot, node), each level is one
     kernel call over the whole frontier, and new members are deduplicated
@@ -236,20 +239,19 @@ def _simulate(first: int, stop: int, g: CSRGraph, cdf, seed: int, kernel: str):
         level_s.append(fs)
         level_v.append(fv)
     s, v = np.concatenate(level_s), np.concatenate(level_v)
-    order = _stable_order(s, stop - first)
-    s, v = s[order], v[order]
-    return first + s, advs[s], v
+    lengths = np.bincount(s, minlength=stop - first)
+    return advs, lengths, v[_stable_order(s, stop - first)]
 
 
-def _rr_rows(first: int, stop: int, g: CSRGraph, cpe_w, seed: int, kernel: str):
-    """(rr_id, adv, node) rows of RR sets first..stop-1, ``_CHUNK`` sets per
-    BFS.
+def _rr_sets(first: int, stop: int, g: CSRGraph, cpe_w, seed: int, kernel: str):
+    """(advertiser, length) of each RR set first..stop-1 and their members,
+    set by set, ``_CHUNK`` sets per BFS.
 
     Set k is a pure function of (graph, cpe, kernel, seed, k): its key is
     output k of a SplitMix64 stream seeded by ``seed``, and its advertiser,
     root and every coin are fixed slots of its key's own stream. No draw
     depends on which other sets are simulated with it, so any split of an id
-    range into calls, chunks or Spark tasks returns the same rows.
+    range into calls, chunks or Spark tasks returns the same sets.
     """
     cdf = np.cumsum(cpe_w)
     cdf /= cdf[-1]
@@ -304,19 +306,17 @@ class RRCollection:
     rr_ids: np.ndarray  # RR ids, key-major
 
     @classmethod
-    def from_rows(cls, n, h, cpe, n_rr, rr_adv, rr_rows, node_rows):
-        """Index (rr_id, node) membership rows; rows of one RR set keep
-        their order."""
-        if np.any(rr_rows[1:] < rr_rows[:-1]):
-            order = np.argsort(rr_rows, kind="stable")
-            rr_rows, node_rows = rr_rows[order], node_rows[order]
-        rr_ptr = _ptr(np.bincount(rr_rows, minlength=n_rr))
-        key = rr_adv[rr_rows] * n + node_rows
+    def from_sets(cls, n, h, cpe, rr_adv, rr_len, members):
+        """Index RR sets given set by set: set r has advertiser ``rr_adv[r]``
+        and the next ``rr_len[r]`` entries of ``members``."""
+        n_rr = len(rr_adv)
+        rr = np.repeat(np.arange(n_rr, dtype=np.int64), rr_len)
+        key = rr_adv[rr] * n + members
         key_ptr = _ptr(np.bincount(key, minlength=h * n))
-        rr_ids = rr_rows[_stable_order(key, h * n)]
+        rr_ids = rr[_stable_order(key, h * n)]
         return cls(
             n, h, np.asarray(cpe, dtype=np.float64), n_rr, rr_adv,
-            rr_ptr, node_rows, key_ptr, rr_ids,
+            _ptr(rr_len), members, key_ptr, rr_ids,
         )
 
     @property
@@ -387,12 +387,6 @@ class RRCollection:
         )
 
 
-def _assemble(n, h, cpe, n_rr, rr, adv, node) -> RRCollection:
-    rr_adv = np.zeros(n_rr, dtype=np.int64)
-    rr_adv[rr] = adv
-    return RRCollection.from_rows(n, h, cpe, n_rr, rr_adv, rr, node)
-
-
 # ---------------------------------------------------------------------------
 # Generation entry points
 # ---------------------------------------------------------------------------
@@ -407,12 +401,11 @@ def from_memberships(
     footnote-8 toy example) without sampling.
     """
     rr_adv = np.asarray([adv for adv, _ in memberships], dtype=np.int64)
-    sizes = [len(nodes) for _, nodes in memberships]
-    rr = np.repeat(np.arange(len(memberships), dtype=np.int64), sizes)
-    node = np.fromiter(
-        (int(v) for _, nodes in memberships for v in nodes), np.int64, len(rr)
+    rr_len = np.asarray([len(nodes) for _, nodes in memberships], dtype=np.int64)
+    members = np.fromiter(
+        (int(v) for _, nodes in memberships for v in nodes), np.int64, rr_len.sum()
     )
-    return RRCollection.from_rows(n, h, cpe, len(memberships), rr_adv, rr, node)
+    return RRCollection.from_sets(n, h, cpe, rr_adv, rr_len, members)
 
 
 def generate_rr_local(
@@ -427,8 +420,8 @@ def generate_rr_local(
     """Driver-only generation of RR sets first..first+n_rr-1 of (seed,
     kernel), renumbered from 0, with no Spark job."""
     cpe = np.asarray(cpe, dtype=np.float64)
-    rr, adv, node = _rr_rows(first, first + n_rr, csr, cpe / cpe.sum(), seed, kernel)
-    return _assemble(csr.n, csr.h, cpe, n_rr, rr - first, adv, node)
+    sets = _rr_sets(first, first + n_rr, csr, cpe / cpe.sum(), seed, kernel)
+    return RRCollection.from_sets(csr.n, csr.h, cpe, *sets)
 
 
 def generate_rr_collection(
@@ -442,8 +435,13 @@ def generate_rr_collection(
     num_partitions: int | None = None,
 ) -> RRCollection:
     """Distributed generation: a DataFrame of id ranges (row c holds sets
-    c·_CHUNK .. (c+1)·_CHUNK-1) → mapInPandas → Arrow collect. Returns the
-    same collection as ``generate_rr_local``."""
+    c·_CHUNK .. (c+1)·_CHUNK-1) → mapInArrow, one ``(adv, nodes)`` row per
+    set → Arrow collect. Returns the same collection as
+    ``generate_rr_local``.
+
+    Set ids are the collect order: the id ranges become partitions in order
+    and each task yields its sets in id order, with no shuffle in between.
+    """
     cpe = np.asarray(cpe, dtype=np.float64)
     chunk = _CHUNK  # read once: the workers use the driver's value
     n_chunks = -(-n_rr // chunk)
@@ -457,18 +455,25 @@ def generate_rr_collection(
     def gen(batches):
         g, weights = bc.value
         for b in batches:
-            for c in b["id"].to_numpy():
+            for c in b.column("id").to_numpy():
                 lo = int(c) * chunk
-                rr, adv, node = _rr_rows(
+                adv, length, members = _rr_sets(
                     lo, min(lo + chunk, n_rr), g, weights, seed, kernel
                 )
-                yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
+                nodes = pa.ListArray.from_arrays(_ptr(length), members)
+                yield pa.RecordBatch.from_arrays([adv, nodes], names=["adv", "nodes"])
 
     tasks = spark.range(0, n_chunks, numPartitions=num_partitions)
     # ``toArrow`` collects Arrow batches whatever the session's
     # ``spark.sql.execution.arrow.pyspark.enabled`` (``toPandas`` without it
     # falls back to pickled Rows).
-    table = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toArrow()
+    table = tasks.mapInArrow(gen, schema="adv long, nodes array<long>").toArrow()
     bc.unpersist()
-    cols = [table[c].to_numpy() for c in ("rr_id", "adv", "node")]
-    return _assemble(csr.n, csr.h, cpe, n_rr, *cols)
+    # ``flatten`` (unlike ``values``) honours a sliced batch's offset; the
+    # leading empty array types the result when no batch comes back.
+    nodes = table["nodes"].chunks
+    rr_len = np.concatenate([_EMPTY] + [c.value_lengths().to_numpy() for c in nodes])
+    members = np.concatenate([_EMPTY] + [c.flatten().to_numpy() for c in nodes])
+    return RRCollection.from_sets(
+        csr.n, csr.h, cpe, table["adv"].to_numpy(), rr_len, members
+    )

@@ -129,7 +129,7 @@ def test_ti_rm_runs_and_conservative(ti_world, rule):
     w = ti_world
     budgets = np.array([25.0, 35.0])
     res = ti_rm(
-        w["gen_adv"], w["csr"], w["costs"], budgets, w["cpe"],
+        w["gen_adv"], w["csr"], w["costs"], budgets,
         rule=rule, eps=0.1, sample_scale=0.05, rr_cap=20000, seed=4,
     )
     # Disjoint allocation.
@@ -148,7 +148,7 @@ def test_ti_csrm_selects_more_seeds_than_ti_carm(ti_world):
     w = ti_world
     budgets = np.array([25.0, 35.0])
     kw = dict(eps=0.1, sample_scale=0.05, rr_cap=20000, seed=4)
-    carm = ti_rm(w["gen_adv"], w["csr"], w["costs"], budgets, w["cpe"], rule="gain", **kw)
-    csrm = ti_rm(w["gen_adv"], w["csr"], w["costs"], budgets, w["cpe"], rule="rate", **kw)
+    carm = ti_rm(w["gen_adv"], w["csr"], w["costs"], budgets, rule="gain", **kw)
+    csrm = ti_rm(w["gen_adv"], w["csr"], w["costs"], budgets, rule="rate", **kw)
     assert sum(map(len, csrm.allocation)) >= sum(map(len, carm.allocation))
     assert csrm.regenerations >= carm.regenerations

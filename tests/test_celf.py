@@ -276,13 +276,13 @@ def ti_world(n=10, h=2):
         return from_memberships(n, h, onehot, mem)
 
     node_cost = np.random.default_rng(5).choice([0.5, 1.0], size=n)
-    return csr, cpe, gen_adv, np.tile(node_cost, (h, 1))
+    return csr, gen_adv, np.tile(node_cost, (h, 1))
 
 
 KW = dict(eps=0.1, ell=1.0, sample_scale=0.05, rr_cap=300, max_latent=4)
 
 
-def eager_ti(gen_adv, csr, costs, budgets, cpe, *, rule, seed):
+def eager_ti(gen_adv, csr, costs, budgets, *, rule, seed):
     """TI selection with its own coverage count: advertiser i's uncovered
     sets among ``rr_ids_for(u, i)`` against a covered mask kept here, times
     the collection's π̃ per set (so both sides round alike)."""
@@ -350,9 +350,9 @@ def eager_ti(gen_adv, csr, costs, budgets, cpe, *, rule, seed):
 @pytest.mark.parametrize("budget", [2.0, 2.5, 3.0, 4.0, 5.0, 8.0])
 @pytest.mark.parametrize("seed", [1, 11, 13])
 def test_ti_selection_matches_eager(rule, budget, seed):
-    csr, cpe, gen_adv, costs = ti_world()
+    csr, gen_adv, costs = ti_world()
     budgets = np.array([budget, 1.5 * budget])
-    res = ti_rm(gen_adv, csr, costs, budgets, cpe, rule=rule, seed=seed, **KW)
-    alloc, regens = eager_ti(gen_adv, csr, costs, budgets, cpe, rule=rule, seed=seed)
+    res = ti_rm(gen_adv, csr, costs, budgets, rule=rule, seed=seed, **KW)
+    alloc, regens = eager_ti(gen_adv, csr, costs, budgets, rule=rule, seed=seed)
     assert res.allocation == alloc
     assert res.regenerations == regens

@@ -58,43 +58,19 @@ def test_sorted_aux(seed):
         assert np.allclose([p for p, _ in pairs], [p for p, _ in pairs_sorted])
 
 
-def test_equal_prob_flag_wc():
-    """Weighted-Cascade probabilities are equal per node → flag always set."""
-    src, dst = powerlaw_edges(50, 300, seed=3)
-    n = 50
-    indeg = np.bincount(dst, minlength=n)
-    probs = (1.0 / indeg[dst])[None, :]
-    csr = build_csr(n, src, dst, probs, h=4, shared_probs=True)
-    assert bool(csr.in_equal_prob.all())
-
-
-def test_equal_prob_flag_heterogeneous():
-    src = np.array([0, 1], dtype=np.int64)
-    dst = np.array([2, 2], dtype=np.int64)
-    probs = np.array([[0.3, 0.6]])
-    csr = build_csr(3, src, dst, probs, h=1, shared_probs=True)
-    assert not csr.in_equal_prob[0, 2]
-    assert csr.in_equal_prob[0, 0] and csr.in_equal_prob[0, 1]  # no in-edges
-
-
 def _ref_subsim_aux(n, csr):
     """The per-node loop the vectorised SUBSIM auxiliaries replace."""
     rows, m = csr.in_probs.shape
     probs_sorted = np.empty_like(csr.in_probs)
     indices_sorted = np.empty((rows, m), dtype=np.int64)
-    equal = np.zeros((rows, n), dtype=bool)
     for r in range(rows):
         for v in range(n):
             lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
-            if hi == lo:
-                equal[r, v] = True
-                continue
             sl = csr.in_probs[r, lo:hi]
             order = np.argsort(-sl, kind="stable")
             probs_sorted[r, lo:hi] = sl[order]
             indices_sorted[r, lo:hi] = csr.in_indices[lo:hi][order]
-            equal[r, v] = bool(sl.max() - sl.min() < 1e-15)
-    return probs_sorted, indices_sorted, equal
+    return probs_sorted, indices_sorted
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -109,10 +85,9 @@ def test_subsim_aux_equals_reference_loop(seed, shared):
     probs = g.choice([0.0, 0.1, 0.25, 1.0], size=(1 if shared else h, len(src)))
     csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
     assert (np.diff(csr.in_indptr) == 0).any()
-    ps, ix, eq = _ref_subsim_aux(n, csr)
+    ps, ix = _ref_subsim_aux(n, csr)
     np.testing.assert_array_equal(csr.in_probs_sorted, ps)
     np.testing.assert_array_equal(csr.in_indices_sorted, ix)
-    np.testing.assert_array_equal(csr.in_equal_prob, eq)
 
 
 @pytest.mark.parametrize("shared", [False, True])

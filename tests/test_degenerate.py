@@ -141,7 +141,7 @@ def run_ti(csr, cpe, costs, budgets, rule):
         return generate_rr_local(csr, onehot, n_rr, seed=seed)
 
     return ti_rm(
-        gen_adv, csr, costs[:h], budgets, cpe[:h], rule=rule,
+        gen_adv, csr, costs[:h], budgets, rule=rule,
         sample_scale=0.05, rr_cap=2000, seed=5, max_latent=4,
     )
 

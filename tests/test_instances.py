@@ -9,6 +9,7 @@ from repro.experiments.instances import (
     get_eval_rr,
     get_instance,
 )
+from repro.graphs.csr import build_csr
 from repro.influence.rrset import generate_rr_local
 
 
@@ -68,20 +69,18 @@ def test_eval_rr_cached(spark, tiny_inst):
     assert a.n_rr == 5000
 
 
-def test_wc_instance_budget_override(spark):
-    inst = build_instance(
-        spark, "tiny_wc" if "tiny_wc" in PRESETS else "dblp_lite",
-        h=2, uniform_budget=100.0, n_sigma_rr=4000,
-    )
-    assert inst.h == 2
-    assert np.allclose(inst.budgets, 100.0)
-    assert inst.shared_probs
-    # WC probabilities: each in-slice of v carries 1/indeg(v).
-    indeg = np.bincount(inst.dst, minlength=inst.n)
-    csr = inst.csr
+def test_wc_preset_probabilities():
+    """Weighted-Cascade presets: each in-slice of v carries 1/indeg(v), in a
+    single row shared by every advertiser."""
+    cfg = PRESETS["dblp_lite"]
+    src, dst, probs, shared = instances._graph_and_probs(cfg)
+    assert shared
+    n = cfg["n"]
+    csr = build_csr(n, src, dst, probs, h=cfg["h"], shared_probs=shared)
+    indeg = np.bincount(dst, minlength=n)
     assert np.array_equal(np.diff(csr.in_indptr), indeg)
-    assert csr.in_probs.shape == (1, inst.m)
-    head = np.repeat(np.arange(inst.n), indeg)  # v of each in-CSR slot
+    assert csr.in_probs.shape == (1, len(src))
+    head = np.repeat(np.arange(n), indeg)  # v of each in-CSR slot
     assert np.allclose(csr.in_probs[0], 1.0 / indeg[head])
 
 

@@ -180,6 +180,23 @@ def test_spark_generation_equals_local(
     assert_same_collection(dist, local_rr[kernel])
 
 
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+@pytest.mark.parametrize(
+    "n_rr", [0, rrset._CHUNK, rrset._CHUNK + 1], ids=["empty", "chunk", "chunk+1"]
+)
+def test_spark_transport_edges_equal_local(spark, small_csr, kernel, n_rr):
+    """No set (no Arrow batch comes back) and one set either side of a task
+    boundary: the per-set rows rebuild the driver's collection."""
+    dist = generate_rr_collection(spark, small_csr, CPE, n_rr, seed=15, kernel=kernel)
+    local = generate_rr_local(small_csr, CPE, n_rr, seed=15, kernel=kernel)
+    assert_same_collection(dist, local)
+    assert dist.n_rr == len(dist.rr_adv) == n_rr
+    assert dist.rr_ptr[-1] == len(dist.members) == len(dist.rr_ids)
+    assert dist.key_ptr.shape == (small_csr.h * small_csr.n + 1,)
+    for name in LAYOUT:
+        assert getattr(dist, name).dtype == np.int64, name
+
+
 def test_subsim_aux_built_only_for_subsim(spark):
     """The SUBSIM sorted slices are built when the SUBSIM kernel first runs,
     on the driver before a Spark call broadcasts the graph, so a graph only
@@ -203,10 +220,9 @@ def test_generation_is_prefix_closed(small_csr, local_rr, kernel):
     full = local_rr[kernel]
     part = generate_rr_local(small_csr, CPE, N_EXACT // 2, seed=12, kernel=kernel)
     ids = np.arange(part.n_rr)
-    prefix = RRCollection.from_rows(
-        full.n, full.h, CPE, part.n_rr, full.rr_adv[ids],
-        np.repeat(ids, np.diff(full.rr_ptr[: part.n_rr + 1])),
-        full.members_of(ids),
+    prefix = RRCollection.from_sets(
+        full.n, full.h, CPE, full.rr_adv[ids],
+        np.diff(full.rr_ptr[: part.n_rr + 1]), full.members_of(ids),
     )
     assert_same_collection(part, prefix)
 
@@ -295,13 +311,11 @@ def test_merge_equals_indexing_concatenated_rows(small_csr, kernel):
     a = generate_rr_local(small_csr, CPE, 700, seed=31, kernel=kernel)
     b = generate_rr_local(small_csr, CPE, 500, seed=32, kernel=kernel)
     ea, eb = a.exploded, b.exploded
-    rows = {
-        c: np.concatenate([ea[c].to_numpy(), eb[c].to_numpy() + (a.n_rr if c == "rr_id" else 0)])
-        for c in ("rr_id", "node")
-    }
-    rebuilt = RRCollection.from_rows(
-        a.n, a.h, CPE, 1200, np.concatenate([a.rr_adv, b.rr_adv]),
-        rows["rr_id"], rows["node"],
+    rebuilt = RRCollection.from_sets(
+        a.n, a.h, CPE,
+        np.concatenate([a.rr_adv, b.rr_adv]),
+        np.concatenate([np.diff(a.rr_ptr), np.diff(b.rr_ptr)]),
+        np.concatenate([a.members, b.members]),
     )
     merged = a.merge(b)
     assert merged.n_rr == rebuilt.n_rr == 1200
@@ -317,18 +331,6 @@ def test_merge_is_associative_on_layouts(small_csr):
     left, right = a.merge(b).merge(c), a.merge(b.merge(c))
     for name, arr in _layouts(left).items():
         assert np.array_equal(_layouts(right)[name], arr), name
-
-
-def test_rows_out_of_rr_order_are_regrouped():
-    """Rows may arrive in any RR order; each set keeps its members' order."""
-    rr_adv = np.array([1, 0, 1])
-    rr = np.array([2, 0, 2, 1, 0])
-    node = np.array([4, 3, 1, 0, 2])
-    c = RRCollection.from_rows(5, 2, [1.0, 1.0], 3, rr_adv, rr, node)
-    assert c.rr_ptr.tolist() == [0, 2, 3, 5]
-    assert c.members.tolist() == [3, 2, 0, 4, 1]
-    assert c.rr_ids_for(4, 1).tolist() == [2]
-    assert c.members_of(np.array([2, 0])).tolist() == [4, 1, 3, 2]
 
 
 def test_singleton_counts_and_width_match_exploded(small_csr):
