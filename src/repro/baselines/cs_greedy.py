@@ -19,7 +19,7 @@ def _greedy_by_rule(prob: RMProblem, rule: str) -> list:
 
     def visit(u, i, g):  # select, or close the advertiser
         if ledger.fits(u, i, g):
-            ledger.select(u, i, g)
+            ledger.select(u, i)
         else:
             ledger.closed.add(i)
 

@@ -44,12 +44,11 @@ class _AdvSample:
     epoch, sets spent). Coverage over ``rr`` is the caller's."""
 
     def __init__(
-        self, gen, csr, eps, ell, sample_scale, rr_cap, seed, max_latent,
+        self, gen, csr, eps, sample_scale, rr_cap, seed, max_latent,
     ):
         self.gen = gen  # gen(n_rr, seed) -> RRCollection for this adv
         self.csr = csr
         self.eps = eps
-        self.ell = ell
         self.scale = sample_scale
         self.rr_cap = rr_cap
         self.seed = seed
@@ -65,13 +64,12 @@ class _AdvSample:
             self.gen,
             self.csr,
             self.s_latent,
-            ell=self.ell,
             seed=self.seed + 31 * self.epoch,
             sample_scale=self.scale,
         )
         self.spent += spent
         theta = int(
-            self.scale * tim_theta(self.csr.n, self.s_latent, self.eps, self.ell, kpt)
+            self.scale * tim_theta(self.csr.n, self.s_latent, self.eps, kpt)
         )
         theta = max(theta, 256)
         if self.rr_cap is not None:
@@ -105,7 +103,6 @@ def ti_rm(
     *,
     rule: str,
     eps: float = 0.1,
-    ell: float = 1.0,
     sample_scale: float = 1.0,
     rr_cap: int | None = None,
     seed: int = 11,
@@ -129,7 +126,6 @@ def ti_rm(
             lambda n_rr, s, i=i: rr_gen_adv(i, n_rr, s),
             csr,
             eps,
-            ell,
             sample_scale,
             rr_cap,
             seed + 17 * i,

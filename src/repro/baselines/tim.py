@@ -3,7 +3,8 @@
 TIM needs (i) a KPT* estimate — a lower bound on the expected spread of an
 optimal size-k seed set — obtained by the doubling KptEstimation procedure,
 and (ii) the sample size θ = λ*/KPT with
-λ* = (8+2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε².
+λ* = (8+2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε², at ℓ = 1 (TIM's success
+probability 1 − n^−ℓ, as TI-CARM/TI-CSRM run it).
 
 Per-advertiser collections are generated with the ad's own probabilities
 (a one-hot cpe weight vector reuses the uniform-sampling generator), which
@@ -34,7 +35,6 @@ def kpt_estimation(
     csr: CSRGraph,
     k: int,
     *,
-    ell: float = 1.0,
     seed: int = 0,
     sample_scale: float = 1.0,
 ) -> tuple[float, int]:
@@ -49,7 +49,7 @@ def kpt_estimation(
     spent = 0
     for i in range(1, log2n):
         c_i = max(
-            16, int(sample_scale * (6 * ell * math.log(n) + 6 * math.log(log2n)) * 2**i)
+            16, int(sample_scale * (6 * math.log(n) + 6 * math.log(log2n)) * 2**i)
         )
         rr = gen(c_i, seed * 7919 + i)
         spent += c_i
@@ -65,7 +65,7 @@ def log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def tim_theta(n: int, k: int, eps: float, ell: float, kpt: float) -> float:
-    """TIM's θ = (8+2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/(ε²·KPT)."""
-    lam = (8.0 + 2.0 * eps) * n * (ell * math.log(n) + log_binom(n, k) + math.log(2.0))
+def tim_theta(n: int, k: int, eps: float, kpt: float) -> float:
+    """TIM's θ = (8+2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/(ε²·KPT), ℓ = 1."""
+    lam = (8.0 + 2.0 * eps) * n * (math.log(n) + log_binom(n, k) + math.log(2.0))
     return lam / (eps**2 * max(kpt, 1.0))

@@ -6,9 +6,12 @@ Every selection loop in the package — Algorithm 1 (Greedy), Algorithms 2–3
 gain π_i(u|S_i) or the marginal rate ζ_i(u|S_i) = gain/(c_i(u)+gain), and
 then selects, stopples, closes the advertiser or drops the element.
 
-Entries are tuples ``(−key, u, i, *tag)``. Python's tuple order breaks key
-ties by node, then advertiser, so the pop order is a total order on the
-live entries and every run is deterministic whatever the heap's layout. A
+Entries are tuples ``(−key, u, i, *tag)``. Python's tuple order breaks
+ties between bit-equal keys by node, then advertiser, so the pop order is a
+total order on the live entries and every run is deterministic whatever the
+heap's layout. Keys that are equal as real numbers but computed on
+different collections (TI-CARM/TI-CSRM keep one per advertiser) can differ
+by one ulp; the larger float then pops first, whatever the node order. A
 stale key is a valid upper bound (gains only shrink as S_i grows, and the
 rate is increasing in the gain for a fixed cost), so an element whose fresh
 key fell more than ``EPS`` below its stale one is re-pushed; otherwise it is
@@ -96,7 +99,8 @@ def celf(
 
 
 class Ledger:
-    """Seed sets under construction with c_i(S_i) and π_i(S_i) per advertiser.
+    """Seed sets under construction with c_i(S_i) per advertiser; π_i(S_i)
+    is read from the coverage state, the one place it is kept.
 
     ``select`` is the shared accept step of every coverage-model loop;
     ``fits`` is the budget test c_i(S_i) + c_i(u) + π_i(S_i) + gain ≤ B_i.
@@ -110,23 +114,22 @@ class Ledger:
         if allocation is None:
             allocation = [set() for _ in range(h)]
         self.alloc = [set(s) for s in allocation]
-        self.state = state = prob.model.state(self.alloc)
+        self.state = prob.model.state(self.alloc)
+        self.pi_i = self.state.pi_i
         self.costs = prob.cost_rows()
         self.caps = [float(b) + EPS for b in prob.budgets]
         self.used = set().union(*self.alloc)
         self.closed: set[int] = set()
         self.spend = [prob.cost_of(i, self.alloc[i]) for i in range(h)]
-        self.pi = [state.pi_i(i) for i in range(h)]
 
     def fits(self, u: int, i: int, g: float) -> bool:
-        return self.spend[i] + self.costs[i][u] + self.pi[i] + g <= self.caps[i]
+        return self.spend[i] + self.costs[i][u] + self.pi_i(i) + g <= self.caps[i]
 
-    def select(self, u: int, i: int, g: float) -> None:
+    def select(self, u: int, i: int) -> None:
         self.state.add(u, i)
         self.alloc[i].add(u)
         self.used.add(u)
         self.spend[i] += self.costs[i][u]
-        self.pi[i] += g
 
     def run(self, order, visit, *, n_open=None, by_rate=False, skip=None) -> None:
         """``celf`` over this ledger's state, sets and costs."""

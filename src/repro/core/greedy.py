@@ -28,8 +28,7 @@ class GreedyResult:
 
 def greedy(prob: RMProblem, candidates, i: int) -> GreedyResult:
     """Run Algorithm 1 for advertiser ``i`` over candidate nodes."""
-    model, costs = prob.model, prob.costs
-    sp = model.singleton_pi()
+    costs, sp = prob.costs, prob.model.singleton_pi()
     # Line 1: drop nodes that are infeasible on their own.
     nodes = np.fromiter((int(v) for v in candidates), dtype=np.int64)
     g0 = sp[i, nodes]
@@ -41,14 +40,14 @@ def greedy(prob: RMProblem, candidates, i: int) -> GreedyResult:
 
     def visit(u, i, g):  # select-or-stopple; the stopple ends the run
         if ledger.fits(u, i, g):
-            ledger.select(u, i, g)
+            ledger.select(u, i)
         else:
             d_set.add(u)
             ledger.closed.add(i)
 
     ledger.run(order, visit, n_open=1, by_rate=True)
-    s_set, pi_s = ledger.alloc[i], ledger.pi[i]
-    pi_d = model.pi_of(i, d_set) if d_set else 0.0
+    s_set, pi_s = ledger.alloc[i], ledger.pi_i(i)
+    pi_d = float(sp[i, next(iter(d_set))]) if d_set else 0.0  # D_i is a singleton
     if pi_d > pi_s:
         return GreedyResult(seeds=set(d_set), s_set=s_set, d_set=d_set, pi_star=pi_d)
     return GreedyResult(seeds=set(s_set), s_set=s_set, d_set=d_set, pi_star=pi_s)

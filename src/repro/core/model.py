@@ -37,10 +37,7 @@ class AllocState:
     def add(self, u: int, i: int) -> None:
         raise NotImplementedError
 
-    def pi_i(self, i: int) -> float:
-        raise NotImplementedError
-
-    def pi_total(self) -> float:
+    def pi_i(self, i: int) -> float:  # π_i(S_i)
         raise NotImplementedError
 
 
@@ -69,20 +66,25 @@ class RevenueModel:
 
 class _CoverageState(AllocState):
     """Covered RR sets of an allocation. Every (adv, node) key's count of
-    uncovered RR sets is kept current, so a marginal gain is one lookup."""
+    uncovered RR sets is kept current, so a marginal gain is one lookup.
+
+    π̃_i(S_i) is advertiser i's covered count (a Python int) times nΓ/|R|
+    (a Python float): the value ``pi_of(i, S_i)`` gives, bit for bit, read
+    in O(1). Every selection loop reads it here."""
 
     def __init__(self, model: "CoverageRevenueModel", allocation=None):
         self.model = model
+        self.factor = model.factor
         self.covered = np.zeros(model.rr.n_rr, dtype=bool)
         self.uncovered = model.rr.singleton_cover_counts().copy()  # (h, n)
-        self.cov_count = np.zeros(model.h, dtype=np.int64)
+        self.cov_count = [0] * model.h
         if allocation is not None:
             for i in range(model.h):
                 for u in allocation[i]:
                     self.add(int(u), i)
 
     def gain(self, u: int, i: int) -> float:
-        return float(self.uncovered[i, u]) * self.model.factor
+        return float(self.uncovered[i, u]) * self.factor
 
     def add(self, u: int, i: int) -> None:
         rr = self.model.rr
@@ -97,10 +99,7 @@ class _CoverageState(AllocState):
         self.uncovered[i] -= np.bincount(rr.members_of(newly), minlength=rr.n)
 
     def pi_i(self, i: int) -> float:
-        return float(self.cov_count[i]) * self.model.factor
-
-    def pi_total(self) -> float:
-        return float(self.cov_count.sum()) * self.model.factor
+        return self.cov_count[i] * self.factor
 
 
 class CoverageRevenueModel(RevenueModel):
@@ -169,9 +168,6 @@ class _ExactState(AllocState):
 
     def pi_i(self, i: int) -> float:
         return self._pi_masks(i, self.masks[i])
-
-    def pi_total(self) -> float:
-        return float(sum(self.pi_i(i) for i in range(self.model.h)))
 
 
 class ExactRevenueModel(RevenueModel):

@@ -70,7 +70,6 @@ def rm_without_oracle(
     n: int,
     *,
     eps: float = 0.02,
-    delta: float | None = None,
     tau: float = 0.1,
     rho: float = 0.1,
     sample_scale: float = 1.0,
@@ -84,8 +83,7 @@ def rm_without_oracle(
     budgets = np.asarray(budgets, dtype=np.float64)
     cpe = np.asarray(cpe, dtype=np.float64)
     h = len(budgets)
-    if delta is None:
-        delta = 1.0 / n
+    delta = 1.0 / n  # failure probability δ, as in §5.1
     lam = approx_ratio(h, tau)
     delta_p = delta / 4.0
 
@@ -126,18 +124,17 @@ def rm_without_oracle(
         alloc = res.allocation
         z = seek_ub(res, lam, h)
 
+        # Validation on R₂: each π̃_i(S_i*, R₂) once, for the Lemma B.7
+        # budget check and for π̃(S⃗*, R₂).
         model2 = CoverageRevenueModel(r2)
-        feasible = True
-        for i in range(h):
-            if not positive[i]:  # Algorithm 5 gives it ∅: no seed fits
-                continue
-            pi2_i = model2.pi_of(i, alloc[i])
-            ub_i = ub_mean(pi2_i, r2.n_rr, n_gamma, q)
-            c_i = float(sum(costs[i, int(u)] for u in alloc[i]))
-            if ub_i > (1.0 + rho) * budgets[i] - c_i + 1e-9:
-                feasible = False
-                break
-        pi2_total = model2.pi_alloc(alloc)
+        pi2 = [model2.pi_of(i, alloc[i]) for i in range(h)]
+        feasible = all(
+            ub_mean(pi2[i], r2.n_rr, n_gamma, q)
+            <= (1.0 + rho) * budgets[i] - prob1.cost_of(i, alloc[i]) + 1e-9
+            for i in range(h)
+            if positive[i]  # Algorithm 5 gives a zero budget ∅: no seed fits
+        )
+        pi2_total = float(sum(pi2))
         lb_s = lb_mean(pi2_total, r2.n_rr, n_gamma, q)
         ub_o = ub_mean(z, r1.n_rr, n_gamma, q)
         beta = lb_s / ub_o if ub_o > 0 else 0.0

@@ -48,7 +48,7 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
         if gamma > 0.0 and rate(g, costs[i][u]) < floor[i]:
             return  # Line 5: rate below threshold — drop element
         if ledger.fits(u, i, g):
-            ledger.select(u, i, g)
+            ledger.select(u, i)
         else:
             d_sets[i] = {u}
             ledger.used.add(u)
@@ -57,16 +57,21 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
     ledger.run(prob.initial_order("gain"), visit)
     s_sets = ledger.alloc
     a_sets = [set() for _ in range(h)]
+    a_pi = [0.0] * h
     if len(depleted) == 1:
         i = next(iter(depleted))
         all_s = set().union(*s_sets)
         cand = [v for v in range(prob.n) if v not in all_s]
-        a_sets[i] = greedy(prob, cand, i).seeds
-    # Line 11: per advertiser, the best of {S_j, D_j, A_j}.
+        res = greedy(prob, cand, i)
+        a_sets[i], a_pi[i] = res.seeds, res.pi_star
+    # Line 11: per advertiser, the best of {S_j, D_j, A_j}; π̃(S_j) from the
+    # main loop's state, π̃(D_j) from the singletons, π̃(A_j) from Greedy.
+    sp = prob.model.singleton_pi()
     best = []
     for j in range(h):
         options = [s_sets[j], d_sets[j], a_sets[j]]
-        vals = [prob.model.pi_of(j, o) for o in options]
+        pi_d = float(sp[j, next(iter(d_sets[j]))]) if d_sets[j] else 0.0
+        vals = [ledger.pi_i(j), pi_d, a_pi[j]]
         best.append(set(options[int(np.argmax(vals))]))
     filled = fill(prob, best)
     return TGResult(
@@ -82,17 +87,17 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
 def fill(prob: RMProblem, allocation) -> list:
     """Algorithm 3: greedily top up by marginal rate until budgets deplete."""
     ledger = Ledger(prob, allocation)
-    spend, pi, costs, caps = ledger.spend, ledger.pi, ledger.costs, ledger.caps
+    spend, pi_i, costs, caps = ledger.spend, ledger.pi_i, ledger.costs, ledger.caps
 
     def overshoots(top):
         # Cost alone already overshoots: the gain cannot help, and spend
         # and π only grow, so the element could never be selected.
         u, i = top[1], top[2]
-        return spend[i] + costs[i][u] + pi[i] > caps[i]
+        return spend[i] + costs[i][u] + pi_i(i) > caps[i]
 
     def visit(u, i, g):  # select if it fits, else drop the element
         if ledger.fits(u, i, g):
-            ledger.select(u, i, g)
+            ledger.select(u, i)
 
     ledger.run(prob.initial_order("rate"), visit, by_rate=True, skip=overshoots)
     return ledger.alloc

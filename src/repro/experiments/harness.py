@@ -69,7 +69,6 @@ def run_rma(
     eval_rr: RRCollection,
     *,
     eps: float = 0.02,
-    delta: float | None = None,
     tau: float = 0.1,
     rho: float = 0.1,
     sample_scale: float = 1.0,
@@ -87,7 +86,6 @@ def run_rma(
         inst.cpe,
         inst.n,
         eps=eps,
-        delta=delta,
         tau=tau,
         rho=rho,
         sample_scale=sample_scale,

@@ -12,21 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def _zipf_ranks(g: np.random.Generator, n: int, size: int, alpha: float) -> np.ndarray:
-    """Draw ``size`` node ranks in [0, n) with P(rank=r) ∝ 1/(r+1)^alpha."""
-    w = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** alpha
+def _zipf_ranks(g: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Draw ``size`` node ranks in [0, n) with P(rank=r) ∝ 1/(r+1)^0.85."""
+    w = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** 0.85
     w /= w.sum()
     return g.choice(n, size=size, p=w)
 
 
-def powerlaw_edges(
-    n: int,
-    m_target: int,
-    *,
-    seed: int,
-    alpha_out: float = 0.85,
-    alpha_in: float = 0.85,
-) -> tuple[np.ndarray, np.ndarray]:
+def powerlaw_edges(n: int, m_target: int, *, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed heavy-tailed graph: (src, dst) arrays, no self-loops/dupes.
 
     Endpoints come from two independently permuted Zipf rank draws so hub
@@ -38,8 +31,8 @@ def powerlaw_edges(
     perm_out = g.permutation(n)
     perm_in = g.permutation(n)
     n_draw = int(m_target * 1.35) + 16
-    src = perm_out[_zipf_ranks(g, n, n_draw, alpha_out)]
-    dst = perm_in[_zipf_ranks(g, n, n_draw, alpha_in)]
+    src = perm_out[_zipf_ranks(g, n, n_draw)]
+    dst = perm_in[_zipf_ranks(g, n, n_draw)]
     keep = src != dst
     src, dst = src[keep], dst[keep]
     # Dedupe on the (src, dst) pair; np.unique keeps order-independent
@@ -62,7 +55,7 @@ def symmetrize(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def degree_stats(src: np.ndarray, dst: np.ndarray, n: int) -> dict:
-    """Summary statistics used by the Table 1 harness and structure tests."""
+    """Degree summary of an edge list, for the generator's structure tests."""
     out_deg = np.bincount(src, minlength=n)
     in_deg = np.bincount(dst, minlength=n)
     return {

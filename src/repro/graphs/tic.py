@@ -44,14 +44,14 @@ def tic_topic_entries(
     )
 
 
-def ad_mixtures(h: int, L: int, *, seed: int, concentration: float = 0.25) -> np.ndarray:
+def ad_mixtures(h: int, L: int, *, seed: int) -> np.ndarray:
     """Per-ad topic distributions φ_i: (h, L), rows sum to 1.
 
-    A small Dirichlet concentration makes each ad load on a few topics, as
-    learned mixtures do.
+    A small Dirichlet concentration (0.25) makes each ad load on a few
+    topics, as learned mixtures do.
     """
     g = np.random.default_rng(seed)
-    x = g.gamma(concentration, size=(h, L))
+    x = g.gamma(0.25, size=(h, L))
     x = np.maximum(x, 1e-12)
     return x / x.sum(axis=1, keepdims=True)
 

@@ -74,10 +74,10 @@ def test_log_binom():
 
 
 def test_tim_theta_monotonicity():
-    base = tim_theta(1000, 5, 0.1, 1.0, 50.0)
-    assert tim_theta(1000, 10, 0.1, 1.0, 50.0) > base  # more seeds → more
-    assert tim_theta(1000, 5, 0.05, 1.0, 50.0) > base  # smaller ε → more
-    assert tim_theta(1000, 5, 0.1, 1.0, 100.0) < base  # better KPT → fewer
+    base = tim_theta(1000, 5, 0.1, 50.0)
+    assert tim_theta(1000, 10, 0.1, 50.0) > base  # more seeds → more
+    assert tim_theta(1000, 5, 0.05, 50.0) > base  # smaller ε → more
+    assert tim_theta(1000, 5, 0.1, 100.0) < base  # better KPT → fewer
 
 
 @pytest.fixture(scope="module")

@@ -279,7 +279,7 @@ def ti_world(n=10, h=2):
     return csr, gen_adv, np.tile(node_cost, (h, 1))
 
 
-KW = dict(eps=0.1, ell=1.0, sample_scale=0.05, rr_cap=300, max_latent=4)
+KW = dict(eps=0.1, sample_scale=0.05, rr_cap=300, max_latent=4)
 
 
 def eager_ti(gen_adv, csr, costs, budgets, *, rule, seed):
@@ -289,7 +289,7 @@ def eager_ti(gen_adv, csr, costs, budgets, *, rule, seed):
     n, h, eps = csr.n, len(budgets), KW["eps"]
     samples = [
         _AdvSample(
-            lambda n_rr, s, i=i: gen_adv(i, n_rr, s), csr, eps, KW["ell"],
+            lambda n_rr, s, i=i: gen_adv(i, n_rr, s), csr, eps,
             KW["sample_scale"], KW["rr_cap"], seed + 17 * i, KW["max_latent"],
         )
         for i in range(h)

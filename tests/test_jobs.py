@@ -1,5 +1,7 @@
-"""Smoke tests for the spark-submit job entrypoints (cheap jobs only —
-table3/5/6 are exercised through the table builders and benchmarks)."""
+"""Smoke tests for the spark-submit job entrypoints, the one way to run
+each table. Tables 1 and 2 run here; table3/5/6 take minutes at their
+dataset scales, so they are only parsed here, and the builders they call
+run at tiny scale in ``test_tables.py``."""
 import subprocess
 import sys
 from pathlib import Path

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
+from repro.core.greedy import greedy
 from repro.core.model import (
     CoverageRevenueModel,
     ExactRevenueModel,
     RMProblem,
     brute_force_opt,
 )
+from repro.core.threshold_greedy import threshold_greedy
 from repro.influence.rrset import from_memberships
 
 from tests.helpers import random_coverage_problem
@@ -29,7 +31,9 @@ def test_coverage_state_matches_stateless(seed):
         state.add(u, i)
         sets[i].add(u)
         assert state.pi_i(i) == pytest.approx(model.pi_of(i, sets[i]))
-    assert state.pi_total() == pytest.approx(model.pi_alloc(sets))
+    assert sum(state.pi_i(i) for i in range(prob.h)) == pytest.approx(
+        model.pi_alloc(sets)
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -114,3 +118,38 @@ def test_factor_formula():
     assert model.pi_of(1, {2}) == pytest.approx(20.0)
     assert model.pi_of(0, {1}) == pytest.approx(20.0)
     assert model.pi_of(0, {2}) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One π̃ per allocation: the value a selection returns is the model's value
+# ---------------------------------------------------------------------------
+
+
+def _exact_problem(seed, n=6, h=2):
+    g = np.random.default_rng(seed)
+    src = np.array([0, 0, 1, 2, 3, 4, 1, 5, 2, 3])
+    dst = np.array([1, 2, 3, 3, 4, 5, 4, 0, 5, 1])
+    probs = g.uniform(0.1, 0.9, size=(h, len(src)))
+    model = ExactRevenueModel(n, src, dst, probs, g.uniform(0.5, 2.0, size=h))
+    return RMProblem(model, g.uniform(0.2, 2.0, size=(h, n)), g.uniform(2.0, 8.0, size=h))
+
+
+# On coverage seeds 1, 8, 22, 25, 26, 30 and 33 and exact seeds 0 and 1, a
+# running sum of Greedy's marginal gains differs from π_i(S_i) in the last
+# bit.
+PI_PROBLEMS = [("coverage", s) for s in range(40)] + [("exact", s) for s in range(6)]
+
+
+@pytest.mark.parametrize("kind,seed", PI_PROBLEMS)
+def test_selection_pi_equals_model_pi(kind, seed):
+    """Greedy's and ThresholdGreedy's π̃ is the model's value, bit for bit."""
+    if kind == "coverage":
+        prob = random_coverage_problem(seed, n=9, h=3, n_rr=60)
+    else:
+        prob = _exact_problem(seed)
+    for i in range(prob.h):
+        res = greedy(prob, range(prob.n), i)
+        assert res.pi_star == prob.model.pi_of(i, res.seeds)
+    for frac in (0.0, 0.1, 0.5):
+        res = threshold_greedy(prob, frac * float(prob.budgets.min()))
+        assert res.pi_star == prob.model.pi_alloc(res.allocation)
