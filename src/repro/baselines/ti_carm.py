@@ -137,10 +137,7 @@ def ti_rm(
 
     def coverage(i):
         """Coverage state of S_i on advertiser i's current sample."""
-        state = CoverageRevenueModel(samples[i].rr).state()
-        for u in alloc[i]:
-            state.add(u, i)
-        return state
+        return CoverageRevenueModel(samples[i].rr).state([()] * i + [alloc[i]])
 
     states = [coverage(i) for i in range(h)]
     spend = np.zeros(h)

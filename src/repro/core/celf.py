@@ -16,6 +16,14 @@ stale key is a valid upper bound (gains only shrink as S_i grows, and the
 rate is increasing in the gain for a fixed cost), so an element whose fresh
 key fell more than ``EPS`` below its stale one is re-pushed; otherwise it is
 the current maximum and is handed to the visit rule.
+
+Starting keys need only be such upper bounds: Fill starts from the marginal
+rates on its start state, which are re-pushed less often than singleton
+rates. A caller may also prefilter its order, leaving out entries that the
+skip or visit rule would discard whenever they surfaced (ThresholdGreedy's
+rate threshold; Fill's taken nodes and cost-only overshoots). Discarding
+changes no state, so the remaining entries pop and are visited in the same
+order.
 """
 from __future__ import annotations
 
@@ -42,13 +50,24 @@ def rates(gains: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return out
 
 
-def presorted(keys: np.ndarray, nodes: np.ndarray, advs: np.ndarray, *tag) -> list:
-    """Entries ``(−key, u, i, *tag)`` in pop order, from one lexsort."""
-    neg = -np.asarray(keys, dtype=np.float64)
-    order = np.lexsort((advs, nodes, neg))
-    cols = [neg[order].tolist(), nodes[order].tolist(), advs[order].tolist()]
-    cols += [[t] * len(order) for t in tag]
+def pop_order(keys: np.ndarray, nodes: np.ndarray, advs: np.ndarray) -> np.ndarray:
+    """The permutation that puts elements in pop order (key descending, then
+    node, then advertiser), from one lexsort."""
+    return np.lexsort((advs, nodes, -keys))
+
+
+def entries(keys: np.ndarray, nodes: np.ndarray, advs: np.ndarray, *tag) -> list:
+    """Entries ``(−key, u, i, *tag)`` of columns already in pop order."""
+    cols = [(-keys).tolist(), nodes.tolist(), advs.tolist()]
+    cols += [[t] * len(keys) for t in tag]
     return list(zip(*cols))
+
+
+def presorted(keys: np.ndarray, nodes: np.ndarray, advs: np.ndarray, *tag) -> list:
+    """Entries ``(−key, u, i, *tag)`` in pop order."""
+    keys = np.asarray(keys, dtype=np.float64)
+    o = pop_order(keys, nodes, advs)
+    return entries(keys[o], nodes[o], advs[o], *tag)
 
 
 def push_all(heap: list, entries: list) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.celf import EPS, presorted, rates
+from repro.core.celf import EPS, entries, pop_order, rates
 from repro.influence.rrset import RRCollection
 from repro.influence.spread import live_edge_worlds, reached
 
@@ -33,6 +33,13 @@ class AllocState:
 
     def gain(self, u: int, i: int) -> float:  # π_i(u | S_i)
         raise NotImplementedError
+
+    def gains(self, advs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``gain`` of each element (nodes[k], advs[k]), bit for bit."""
+        return np.array(
+            [self.gain(u, i) for u, i in zip(nodes.tolist(), advs.tolist())],
+            dtype=np.float64,
+        )
 
     def add(self, u: int, i: int) -> None:
         raise NotImplementedError
@@ -70,28 +77,39 @@ class _CoverageState(AllocState):
 
     π̃_i(S_i) is advertiser i's covered count (a Python int) times nΓ/|R|
     (a Python float): the value ``pi_of(i, S_i)`` gives, bit for bit, read
-    in O(1). Every selection loop reads it here."""
+    in O(1). Every selection loop reads it here.
+
+    A state built from an allocation covers each advertiser's sets in one
+    pass (the union of its seeds' slices); ``add`` covers one seed's. Both
+    give the state an add-by-add replay gives."""
 
     def __init__(self, model: "CoverageRevenueModel", allocation=None):
         self.model = model
         self.factor = model.factor
-        self.covered = np.zeros(model.rr.n_rr, dtype=bool)
-        self.uncovered = model.rr.singleton_cover_counts().copy()  # (h, n)
+        rr = model.rr
+        self.covered = np.zeros(rr.n_rr, dtype=bool)
+        self.uncovered = rr.singleton_cover_counts().copy()  # (h, n)
         self.cov_count = [0] * model.h
         if allocation is not None:
-            for i in range(model.h):
-                for u in allocation[i]:
-                    self.add(int(u), i)
+            for i, seeds in enumerate(allocation):
+                if seeds:
+                    self._cover(i, np.unique(rr.rr_ids_of(i, seeds)))
 
     def gain(self, u: int, i: int) -> float:
         return float(self.uncovered[i, u]) * self.factor
 
+    def gains(self, advs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        return self.uncovered[advs, nodes] * self.factor
+
     def add(self, u: int, i: int) -> None:
-        rr = self.model.rr
-        ids = rr.rr_ids_for(u, i)
+        self._cover(i, self.model.rr.rr_ids_for(u, i))
+
+    def _cover(self, i: int, ids: np.ndarray) -> None:
+        """Cover advertiser i's sets ``ids`` (each id at most once)."""
         newly = ids[~self.covered[ids]]
         if len(newly) == 0:
             return
+        rr = self.model.rr
         self.covered[newly] = True
         self.cov_count[i] += len(newly)
         # The newly covered sets are all advertiser i's: each of their
@@ -247,12 +265,22 @@ class RMProblem:
         """Line 1 of Algorithms 2–3 as presorted CELF entries: every element
         with c_j(v) + π_j({v}) ≤ B_j, keyed by singleton gain or rate.
         Sorted once per problem and shared (read-only) by every run."""
+        return self._initial(key)[0]
+
+    def initial_columns(self, key: str) -> tuple:
+        """``initial_order(key)``'s elements as numpy columns in the same
+        order: (nodes, advertisers, singleton gains π_j({v}), costs c_j(v))."""
+        return self._initial(key)[1]
+
+    def _initial(self, key: str) -> tuple:
         if key not in self._cache:
             sp = self.model.singleton_pi()
             advs, nodes = np.nonzero(self.costs + sp <= self.budgets[:, None] + EPS)
-            g0 = sp[advs, nodes]
-            keys = g0 if key == "gain" else rates(g0, self.costs[advs, nodes])
-            self._cache[key] = presorted(keys, nodes, advs)
+            g0, c = sp[advs, nodes], self.costs[advs, nodes]
+            keys = g0 if key == "gain" else rates(g0, c)
+            o = pop_order(keys, nodes, advs)
+            cols = (nodes[o], advs[o], g0[o], c[o])
+            self._cache[key] = (entries(keys[o], cols[0], cols[1]), cols)
         return self._cache[key]
 
     def cost_rows(self) -> list:

@@ -11,15 +11,21 @@ Both run on the CELF engine (``repro.core.celf``) from the problem's cached
 presorted entries. An element's skip conditions (node already used,
 advertiser depleted, rate below threshold) are all monotone — once true
 they stay true — so evaluating them only when the element surfaces as the
-current maximum is exactly the paper's semantics.
+current maximum is exactly the paper's semantics. For the same reason an
+element that a numpy pass shows to fail one of them at the start is left
+out of the order: ThresholdGreedy's elements whose singleton rate is below
+the threshold, and Fill's taken nodes and elements whose cost alone
+overshoots. Fill also closes an advertiser once its cheapest element
+overshoots, and ends when all are closed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from repro.core.celf import EPS, Ledger, rate
+from repro.core.celf import EPS, Ledger, presorted, rate, rates
 from repro.core.greedy import greedy
 from repro.core.model import RMProblem
 
@@ -40,7 +46,15 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
     ledger = Ledger(prob)
     costs = ledger.costs
     with np.errstate(divide="ignore", invalid="ignore"):  # B_i = 0 is allowed
-        floor = (gamma / prob.budgets - EPS).tolist()  # γ/B_i
+        floors = gamma / prob.budgets - EPS  # γ/B_i
+    order = prob.initial_order("gain")
+    if gamma > 0.0:
+        # Line 5 drops (u, i) once ζ_i(u|S_i) < γ/B_i. The singleton rate
+        # bounds every later one, so an element that fails on it is dropped
+        # whenever it surfaces: leave it out of the order.
+        nodes, advs, g0, c = prob.initial_columns("gain")
+        order = list(compress(order, (rates(g0, c) >= floors[advs]).tolist()))
+    floor = floors.tolist()
     d_sets = [set() for _ in range(h)]
     depleted = ledger.closed  # I; ledger.used holds ∪_j S_j ∪ D_j
 
@@ -54,7 +68,7 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
             ledger.used.add(u)
             depleted.add(i)
 
-    ledger.run(prob.initial_order("gain"), visit)
+    ledger.run(order, visit)
     s_sets = ledger.alloc
     a_sets = [set() for _ in range(h)]
     a_pi = [0.0] * h
@@ -73,31 +87,60 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
         pi_d = float(sp[j, next(iter(d_sets[j]))]) if d_sets[j] else 0.0
         vals = [ledger.pi_i(j), pi_d, a_pi[j]]
         best.append(set(options[int(np.argmax(vals))]))
-    filled = fill(prob, best)
+    filled = _fill(prob, best)
     return TGResult(
-        allocation=filled,
+        allocation=filled.alloc,
         b=len(depleted),
         s_sets=s_sets,
         d_sets=d_sets,
         a_sets=a_sets,
-        pi_star=prob.model.pi_alloc(filled),
+        pi_star=float(sum(filled.pi_i(i) for i in range(h))),  # = pi_alloc
     )
 
 
 def fill(prob: RMProblem, allocation) -> list:
     """Algorithm 3: greedily top up by marginal rate until budgets deplete."""
+    return _fill(prob, allocation).alloc
+
+
+def _fill(prob: RMProblem, allocation) -> Ledger:
+    """``fill``, returning its ledger (the filled sets and their state)."""
     ledger = Ledger(prob, allocation)
     spend, pi_i, costs, caps = ledger.spend, ledger.pi_i, ledger.costs, ledger.caps
+    closed = ledger.closed
+
+    # Both skip rules only become true as the sets grow (spend and π only
+    # grow), so elements they hold at the start are left out: a taken node,
+    # or a cost that alone overshoots the advertiser's remaining budget.
+    nodes, advs, _, c = prob.initial_columns("gain")
+    taken = np.zeros(prob.n, dtype=bool)
+    taken[list(ledger.used)] = True
+    pi0 = np.array([pi_i(i) for i in range(prob.h)])
+    over = np.array(spend)[advs] + c + pi0[advs] > np.array(caps)[advs]
+    live = ~(taken[nodes] | over)
+    nodes, advs, c = nodes[live], advs[live], c[live]
+    # An advertiser whose cheapest element overshoots takes no more seeds.
+    cheapest = np.full(prob.h, np.inf)
+    np.minimum.at(cheapest, advs, c)
+    cheapest = cheapest.tolist()
+
+    def close_if_full(i):
+        if spend[i] + cheapest[i] + pi_i(i) > caps[i]:
+            closed.add(i)
 
     def overshoots(top):
-        # Cost alone already overshoots: the gain cannot help, and spend
-        # and π only grow, so the element could never be selected.
         u, i = top[1], top[2]
         return spend[i] + costs[i][u] + pi_i(i) > caps[i]
 
     def visit(u, i, g):  # select if it fits, else drop the element
         if ledger.fits(u, i, g):
             ledger.select(u, i)
+            close_if_full(i)
 
-    ledger.run(prob.initial_order("rate"), visit, by_rate=True, skip=overshoots)
-    return ledger.alloc
+    for i in range(prob.h):
+        close_if_full(i)
+    # Start from the marginal rates on the start state, not the stale
+    # singleton ones.
+    order = presorted(rates(ledger.state.gains(advs, nodes), c), nodes, advs)
+    ledger.run(order, visit, by_rate=True, skip=overshoots)
+    return ledger

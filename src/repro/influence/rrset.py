@@ -349,10 +349,16 @@ class RRCollection:
         k = adv * self.n + node
         return self.rr_ids[self.key_ptr[k] : self.key_ptr[k + 1]]
 
+    def rr_ids_of(self, adv: int, nodes) -> np.ndarray:
+        """``rr_ids_for(u, adv)`` of every u in ``nodes``, concatenated (a
+        set hit by several nodes appears once per node)."""
+        keys = adv * self.n + np.fromiter(nodes, dtype=np.int64)
+        starts = self.key_ptr[keys]
+        return self.rr_ids[_slice_positions(starts, self.key_ptr[keys + 1] - starts)]
+
     def covered_count(self, adv: int, nodes) -> int:
         """|{R for adv : R ∩ nodes ≠ ∅}| — advertiser adv's sets hit by nodes."""
-        ids = [self.rr_ids_for(int(u), adv) for u in nodes]
-        return len(np.unique(np.concatenate(ids))) if ids else 0
+        return len(np.unique(self.rr_ids_of(adv, nodes)))
 
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""

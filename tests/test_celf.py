@@ -218,6 +218,36 @@ def test_threshold_greedy_matches_eager(seed, gamma_frac):
     assert res.allocation == ref["allocation"]
 
 
+def _singleton_rates(prob):
+    sp = prob.model.singleton_pi()
+    return [
+        (_rate(float(sp[i, v]), float(prob.costs[i, v])), v, i)
+        for v, i in feasible(prob)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("at", ["above_all", "at_one"])
+def test_threshold_greedy_at_prefilter_edges_matches_eager(seed, at):
+    """γ above every singleton rate·B_i leaves ThresholdGreedy's order
+    empty; γ exactly at one element's singleton rate·B_i keeps it."""
+    prob = tied_problem(seed, h=3, n_base=10)
+    zetas = _singleton_rates(prob)
+    if at == "above_all":
+        gamma = 1.5 * max(z * prob.budgets[i] for z, _, i in zetas)
+    else:
+        z, _, i = sorted(zetas)[len(zetas) // 2]
+        gamma = z * float(prob.budgets[i])
+    res = threshold_greedy(prob, gamma)
+    ref = eager_threshold_greedy(prob, gamma)
+    assert (res.s_sets, res.d_sets, res.a_sets, res.b) == (
+        ref["s_sets"], ref["d_sets"], ref["a_sets"], ref["b"]
+    )
+    assert res.allocation == ref["allocation"]
+    if at == "above_all":
+        assert not any(res.s_sets) and not any(res.d_sets)
+
+
 def test_threshold_greedy_single_depleted_path_matches_eager():
     """The |I| = 1 branch (A_i from Algorithm 1) is reached and agrees."""
     hits = 0
@@ -244,6 +274,26 @@ def test_fill_matches_eager(seed, start_frac):
     start = ca_greedy(part)
     assert prob.is_feasible(start)
     assert fill(prob, start) == eager_fill(prob, start)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("which", ["one", "all"])
+def test_fill_matches_eager_when_slack_is_below_every_cost(seed, which):
+    """An advertiser whose remaining budget is below each of its costs
+    takes no seed; Fill still tops up the others as the eager one does."""
+    prob = tied_problem(seed, h=3, n_base=10, budget_range=(3.0, 9.0))
+    start = ca_greedy(RMProblem(prob.model, prob.costs, 0.5 * prob.budgets))
+    budgets = prob.budgets.copy()
+    for i in [0] if which == "one" else range(prob.h):
+        used = prob.cost_of(i, start[i]) + prob.model.pi_of(i, start[i])
+        budgets[i] = used + 0.5 * float(prob.costs[i].min())
+    tight = RMProblem(prob.model, prob.costs, budgets)
+    assert tight.is_feasible(start)
+    got = fill(tight, start)
+    assert got == eager_fill(tight, start)
+    assert got[0] == start[0]
+    if which == "all":
+        assert got == start
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -61,6 +61,32 @@ def test_state_from_allocation():
     assert state.pi_i(1) == pytest.approx(prob.model.pi_of(1, {2}))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_state_from_allocation_equals_replay(seed):
+    """The one-pass state of an allocation is the add-by-add state, exactly.
+    Seeds overlap (a node may serve two advertisers, and seeds share RR
+    sets) and some advertisers are empty."""
+    prob = random_coverage_problem(seed, n=9, h=4, n_rr=80, max_rr_size=4)
+    g = np.random.default_rng(seed)
+    alloc = [
+        set(g.choice(prob.n, size=int(g.integers(1, 6)), replace=False).tolist())
+        if g.random() < 0.7 else set()
+        for _ in range(prob.h)
+    ]
+    alloc[int(g.integers(0, prob.h))] = set()
+    one_pass = prob.model.state(alloc)
+    replay = prob.model.state()
+    for i in range(prob.h):
+        for u in alloc[i]:
+            replay.add(u, i)
+    assert np.array_equal(one_pass.covered, replay.covered)
+    assert np.array_equal(one_pass.uncovered, replay.uncovered)
+    assert one_pass.cov_count == replay.cov_count
+    assert [one_pass.pi_i(i) for i in range(prob.h)] == [
+        replay.pi_i(i) for i in range(prob.h)
+    ]
+
+
 def test_exact_model_state_matches_stateless():
     src = np.array([0, 0, 1, 2])
     dst = np.array([1, 2, 3, 3])
