@@ -63,27 +63,27 @@ def lastfm_tic_graph():
 
 
 # The generation calls of one `ti_lastfm` cell (TI-CARM then TI-CSRM on
-# lastfm_lite), as (sets per call, calls): KptEstimation's 16-727-set
-# samples, the 1455-set refinements and the 16K-set θ resamples at the TI
-# cap. Calls go to the advertisers in turn, one seed each.
-_TI_CALLS = [
-    (16, 200), (22, 100), (45, 100), (90, 100), (181, 100),
-    (363, 90), (727, 66), (1455, 44), (16_000, 100),
-]
+# lastfm_lite), as (block sizes of a call, calls): 100 KptEstimation runs,
+# each one request carrying all nine iterations (16-1455 sets, 2,915 in all,
+# one BFS), and the 16K-set θ resamples at the TI cap. Calls go to the
+# advertisers in turn, one seed per block.
+_KPT_SIZES = (16, 16, 22, 45, 90, 181, 363, 727, 1455)
+_TI_CALLS = [(_KPT_SIZES, 100), ((16_000,), 100)]
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
 def test_rrgen_ti_calls(benchmark, lastfm_tic_graph, kernel):
     g = lastfm_tic_graph
-    sizes = [n_rr for n_rr, calls in _TI_CALLS for _ in range(calls)]
+    requests = [sizes for sizes, calls in _TI_CALLS for _ in range(calls)]
 
     def ti_calls():
         sets = 0
-        for i, n_rr in enumerate(sizes):
+        for i, sizes in enumerate(requests):
             onehot = np.zeros(g.h)
             onehot[i % g.h] = 1.0
-            sets += generate_rr_local(g, onehot, n_rr, seed=i, kernel=kernel).n_rr
+            blocks = [(n_rr, len(sizes) * i + j) for j, n_rr in enumerate(sizes)]
+            sets += generate_rr_local(g, onehot, blocks, kernel=kernel).n_rr
         return sets
 
     sets = benchmark.pedantic(ti_calls, rounds=2, iterations=1)
-    assert sets == sum(sizes)
+    assert sets == sum(map(sum, requests))

@@ -46,7 +46,7 @@ class _AdvSample:
     def __init__(
         self, gen, csr, eps, sample_scale, rr_cap, seed, max_latent,
     ):
-        self.gen = gen  # gen(n_rr, seed) -> RRCollection for this adv
+        self.gen = gen  # gen([(n_rr, seed), ...]) -> RRCollection for this adv
         self.csr = csr
         self.eps = eps
         self.scale = sample_scale
@@ -79,7 +79,7 @@ class _AdvSample:
     def _sample(self) -> RRCollection:
         theta = self._theta()
         self.spent += theta
-        return self.gen(theta, self.seed + 997 * self.epoch + 1)
+        return self.gen([(theta, self.seed + 997 * self.epoch + 1)])
 
     def maybe_double(self, n_seeds: int) -> bool:
         """Double the latent seed size and regenerate ``rr`` when |S_i|
@@ -110,12 +110,14 @@ def ti_rm(
 ) -> TIResult:
     """Run TI-CARM (rule="gain") or TI-CSRM (rule="rate").
 
-    ``rr_gen_adv(adv, n_rr, seed)`` generates RR sets with advertiser
-    ``adv``'s probabilities only, under the one-hot cpe vector that carries
-    cpe_i: π̂_i is coverage over that collection. ``max_latent`` caps the
-    latent-seed-size doubling (regenerations stop once s_i reaches it) — a
-    runtime bound for the scaled-down reproduction; set None for unbounded
-    TIM behaviour.
+    ``rr_gen_adv(adv, blocks)`` generates RR sets with advertiser ``adv``'s
+    probabilities only, under the one-hot cpe vector that carries cpe_i:
+    sets 0..n_rr-1 of each ``(n_rr, seed)`` block of the list, concatenated.
+    A θ sample is one block; KptEstimation asks for several (at most
+    ``_CHUNK`` sets) at once. π̂_i is coverage over a θ sample.
+    ``max_latent`` caps the latent-seed-size doubling (regenerations stop
+    once s_i reaches it) — a runtime bound for the scaled-down
+    reproduction; set None for unbounded TIM behaviour.
     """
     assert rule in ("gain", "rate")
     costs = np.asarray(costs, dtype=np.float64)
@@ -123,7 +125,7 @@ def ti_rm(
     h = len(budgets)
     samples = [
         _AdvSample(
-            lambda n_rr, s, i=i: rr_gen_adv(i, n_rr, s),
+            lambda blocks, i=i: rr_gen_adv(i, blocks),
             csr,
             eps,
             sample_scale,

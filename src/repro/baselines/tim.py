@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.influence.rrset import RRCollection
+from repro.influence.rrset import _CHUNK, RRCollection
 
 
 def rr_width(rr: RRCollection, csr: CSRGraph) -> np.ndarray:
@@ -40,23 +40,41 @@ def kpt_estimation(
 ) -> tuple[float, int]:
     """TIM's KptEstimation: (KPT*, number of RR sets spent).
 
-    ``gen(n_rr, seed)`` generates RR sets for *one* advertiser. Returns a
-    lower bound on the optimal size-k spread, and the sampling cost so the
-    caller can account for it.
+    ``gen(blocks)`` generates RR sets for *one* advertiser: sets
+    0..n_rr-1 of each ``(n_rr, seed)`` block, concatenated. Returns a lower
+    bound on the optimal size-k spread, and the sampling cost so the caller
+    can account for it.
+
+    Iteration i draws c_i sets at seed·7919+i and stops the procedure when
+    its mean κ exceeds 2^-i. Consecutive iterations are drawn in one request
+    while their sets fit in one ``_CHUNK`` (one BFS), and an iteration
+    larger than that alone; the iterations are then tested in order. The
+    sets drawn after the stopping iteration are not counted in ``spent``,
+    so KPT and ``spent`` equal those of drawing one iteration at a time, at
+    the cost of at most one chunk of speculative sets per call.
     """
     n, m = csr.n, csr.m
     log2n = max(2, int(math.floor(math.log2(n))))
+    base = 6 * math.log(n) + 6 * math.log(log2n)
+    draws = [  # (c_i, seed_i) of iterations i = 1..log2n-1
+        (max(16, int(sample_scale * base * 2**i)), seed * 7919 + i)
+        for i in range(1, log2n)
+    ]
     spent = 0
-    for i in range(1, log2n):
-        c_i = max(
-            16, int(sample_scale * (6 * math.log(n) + 6 * math.log(log2n)) * 2**i)
-        )
-        rr = gen(c_i, seed * 7919 + i)
-        spent += c_i
-        w = rr_width(rr, csr)
-        kappa = 1.0 - (1.0 - w / m) ** k
-        if kappa.mean() > 1.0 / 2**i:
-            return max(1.0, n * float(kappa.sum()) / (2.0 * c_i)), spent
+    lo = 0
+    while lo < len(draws):
+        hi = lo + 1
+        while hi < len(draws) and sum(c for c, _ in draws[lo : hi + 1]) <= _CHUNK:
+            hi += 1
+        w = rr_width(gen(draws[lo:hi]), csr)
+        start = 0
+        for i, (c_i, _) in enumerate(draws[lo:hi], start=lo + 1):
+            spent += c_i
+            kappa = 1.0 - (1.0 - w[start : start + c_i] / m) ** k
+            start += c_i
+            if kappa.mean() > 1.0 / 2**i:
+                return max(1.0, n * float(kappa.sum()) / (2.0 * c_i)), spent
+        lo = hi
     return 1.0, spent
 
 

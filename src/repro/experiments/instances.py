@@ -24,6 +24,7 @@ from repro.graphs.generators import powerlaw_edges, symmetrize
 from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries, wc_probs
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
+    _CHUNK,
     RRCollection,
     generate_rr_collection,
     generate_rr_local,
@@ -45,11 +46,26 @@ _SPARK_MIN_MEMBERS = 2_500_000
 _WIDTH_PROBE = 1024
 
 
-def _generate(spark, csr, cpe, n_rr, seed, kernel="standard") -> RRCollection:
-    """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed). Both paths return the
-    same collection; the expected member count, read off the first
+def _generate(spark, csr, cpe, n_rr, seed=None, kernel="standard") -> RRCollection:
+    """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed), or, when ``n_rr`` is a
+    list of ``(n_j, s_j)`` blocks, sets 0..n_j-1 of each seed s_j in turn,
+    as ``generate_rr_local`` numbers them.
+
+    One block is a plain request. Both of its paths return the same
+    collection; the expected member count, read off the first
     ``_WIDTH_PROBE`` sets made on the driver, only picks the faster one. On
-    the driver the remaining sets are appended to the probe."""
+    the driver the remaining sets are appended to the probe. Several blocks
+    (at most ``_CHUNK`` sets in all) are made on the driver.
+    """
+    if seed is None and len(n_rr) == 1:
+        [(n_rr, seed)] = n_rr
+    if seed is None:
+        # Spark fans out whole _CHUNKs, one task each, so a request of at
+        # most one chunk would run as a single task: the driver makes it,
+        # all blocks in one BFS.
+        if sum(n for n, _ in n_rr) > _CHUNK:
+            raise ValueError(f"a multi-block request spans more than {_CHUNK} sets")
+        return generate_rr_local(csr, cpe, n_rr, kernel=kernel)
     head = generate_rr_local(
         csr, cpe, min(n_rr, _WIDTH_PROBE), seed=seed, kernel=kernel
     )
@@ -129,12 +145,15 @@ class Instance:
         return gen
 
     def rr_gen_adv(self, spark: SparkSession, kernel: str = "standard"):
-        """Per-advertiser RR generator for the TI baselines: gen(adv, n_rr, seed)."""
+        """Per-advertiser RR generator for the TI baselines: gen(adv, blocks)
+        for a list of ``(n_rr, seed)`` blocks. One block takes the
+        local/Spark split; several (at most ``_CHUNK`` sets) run on the
+        driver in one BFS."""
 
-        def gen(adv: int, n_rr: int, seed: int) -> RRCollection:
+        def gen(adv: int, blocks) -> RRCollection:
             onehot = np.zeros(self.h)
             onehot[adv] = self.cpe[adv]
-            return _generate(spark, self.csr, onehot, n_rr, seed, kernel)
+            return _generate(spark, self.csr, onehot, blocks, kernel=kernel)
 
         return gen
 

@@ -24,10 +24,11 @@ The driver-local path simulates the same ranges, so both return identical
 collections. Either way a generated collection only ever takes the
 RR-major form: per-set advertisers and lengths, and the members set by set.
 
-A range is one level-synchronous reverse BFS over all of its sets (at most
-``_CHUNK`` at a time, to bound memory): the frontier is a pair of arrays
-(set slot, node), and each level is a single batched kernel call over the
-whole frontier. Two kernels share this harness:
+The sets of a call, one id range or several ``(n_rr, seed)`` blocks side by
+side, run as level-synchronous reverse BFSs over up to ``_CHUNK`` set keys
+each (to bound memory): the frontier is a pair of arrays (set slot, node),
+and each level is a single batched kernel call over the whole frontier.
+Two kernels share this harness:
 
 - ``standard``: every in-edge of every frontier entry, gathered with
   ``np.repeat`` over ``in_indptr``, gets one coin (O(indeg) per entry).
@@ -43,6 +44,7 @@ is the property the paper relies on in Appendix D.2.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,25 +208,24 @@ _KERNELS = {
 _CHUNK = 4096
 
 
-def _simulate(first: int, stop: int, g: CSRGraph, cdf, seed: int, kernel: str):
-    """RR sets first..stop-1 as one level-synchronous reverse BFS; returns
-    each set's advertiser and length, and the members of all sets in id
-    order: root first in each set, then level by level, each level in node
-    order.
+def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
+    """The RR sets of ``keys`` (one key per set) as one level-synchronous
+    reverse BFS; returns each set's advertiser and length, and the members
+    of all sets in key order: root first in each set, then level by level,
+    each level in node order.
 
     The frontier is a pair of arrays (set slot, node), each level is one
     kernel call over the whole frontier, and new members are deduplicated
     against the sorted visited codes ``slot * n + node``.
     """
     expand = _KERNELS[kernel]
-    n = g.n
-    keys = _set_keys(seed, first, stop)
+    n, n_sets = g.n, len(keys)
     advs = np.searchsorted(cdf, _uniform(keys, _ADV), side="right")
     roots = (_uniform(keys, _ROOT) * n).astype(np.int64)
     rows = np.zeros_like(advs) if g.shared_probs else advs
-    slots = np.arange(stop - first, dtype=np.int64)
+    slots = np.arange(n_sets, dtype=np.int64)
     # Larger than every code: keeps searchsorted inside the visited array.
-    sentinel = np.array([(stop - first) * n], dtype=np.int64)
+    sentinel = np.array([n_sets * n], dtype=np.int64)
     visited = np.concatenate([slots * n + roots, sentinel])
     level_s, level_v = [slots], [roots]
     fs, fv = slots, roots
@@ -239,25 +240,24 @@ def _simulate(first: int, stop: int, g: CSRGraph, cdf, seed: int, kernel: str):
         level_s.append(fs)
         level_v.append(fv)
     s, v = np.concatenate(level_s), np.concatenate(level_v)
-    lengths = np.bincount(s, minlength=stop - first)
-    return advs, lengths, v[_stable_order(s, stop - first)]
+    lengths = np.bincount(s, minlength=n_sets)
+    return advs, lengths, v[_stable_order(s, n_sets)]
 
 
-def _rr_sets(first: int, stop: int, g: CSRGraph, cpe_w, seed: int, kernel: str):
-    """(advertiser, length) of each RR set first..stop-1 and their members,
+def _rr_sets(keys: np.ndarray, g: CSRGraph, cpe_w, kernel: str):
+    """(advertiser, length) of the RR set of each key and their members,
     set by set, ``_CHUNK`` sets per BFS.
 
-    Set k is a pure function of (graph, cpe, kernel, seed, k): its key is
-    output k of a SplitMix64 stream seeded by ``seed``, and its advertiser,
+    A set is a pure function of (graph, cpe, kernel, key): its advertiser,
     root and every coin are fixed slots of its key's own stream. No draw
-    depends on which other sets are simulated with it, so any split of an id
-    range into calls, chunks or Spark tasks returns the same sets.
+    depends on which other sets are simulated with it, so any split of the
+    keys into calls, chunks or Spark tasks returns the same sets.
     """
     cdf = np.cumsum(cpe_w)
     cdf /= cdf[-1]
     parts = [
-        _simulate(lo, min(lo + _CHUNK, stop), g, cdf, seed, kernel)
-        for lo in range(first, stop, _CHUNK)
+        _simulate(keys[lo : lo + _CHUNK], g, cdf, kernel)
+        for lo in range(0, len(keys), _CHUNK)
     ]
     if not parts:
         return _EMPTY, _EMPTY, _EMPTY
@@ -417,16 +417,30 @@ def from_memberships(
 def generate_rr_local(
     csr: CSRGraph,
     cpe: np.ndarray,
-    n_rr: int,
+    n_rr: int | Sequence[tuple[int, int]],
     *,
-    seed: int,
+    seed: int | None = None,
     kernel: str = "standard",
     first: int = 0,
 ) -> RRCollection:
-    """Driver-only generation of RR sets first..first+n_rr-1 of (seed,
-    kernel), renumbered from 0, with no Spark job."""
+    """Driver-only generation of RR sets, renumbered from 0, with no Spark
+    job.
+
+    ``n_rr`` is a set count or a list of ``(n_j, s_j)`` blocks. A count
+    gives sets first..first+n_rr-1 of (seed, kernel). A block list (with no
+    ``seed``) gives sets 0..n_j-1 of each seed s_j, in block order: set k of
+    block j is set k of ``generate_rr_local(csr, cpe, n_j, seed=s_j)``. The
+    blocks share each ``_CHUNK``-set BFS, so many small blocks pay the
+    per-level cost of one.
+    """
     cpe = np.asarray(cpe, dtype=np.float64)
-    sets = _rr_sets(first, first + n_rr, csr, cpe / cpe.sum(), seed, kernel)
+    if seed is None:
+        keys = np.concatenate(
+            [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in n_rr]
+        )
+    else:
+        keys = _set_keys(seed, first, first + n_rr)
+    sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel)
     return RRCollection.from_sets(csr.n, csr.h, cpe, *sets)
 
 
@@ -463,9 +477,8 @@ def generate_rr_collection(
         for b in batches:
             for c in b.column("id").to_numpy():
                 lo = int(c) * chunk
-                adv, length, members = _rr_sets(
-                    lo, min(lo + chunk, n_rr), g, weights, seed, kernel
-                )
+                keys = _set_keys(seed, lo, min(lo + chunk, n_rr))
+                adv, length, members = _rr_sets(keys, g, weights, kernel)
                 nodes = pa.ListArray.from_arrays(_ptr(length), members)
                 yield pa.RecordBatch.from_arrays([adv, nodes], names=["adv", "nodes"])
 

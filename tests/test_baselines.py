@@ -1,4 +1,6 @@
 """Tests for the Aslay et al. baselines: CA/CS-Greedy, TIM, TI-CARM/TI-CSRM."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from repro.baselines.cs_greedy import ca_greedy, cs_greedy
 from repro.baselines.ti_carm import ti_rm
 from repro.baselines.tim import kpt_estimation, log_binom, rr_width, tim_theta
 from repro.core.model import CoverageRevenueModel, RMProblem
+from repro.experiments import instances
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
+from repro.influence import rrset
 from repro.influence.rrset import from_memberships, generate_rr_local
 
 from tests.helpers import random_coverage_problem
@@ -89,10 +93,10 @@ def ti_world():
     csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
     cpe = np.array([1.0, 1.5])
 
-    def gen_adv(adv, n_rr, seed):
+    def gen_adv(adv, blocks):
         onehot = np.zeros(h)
         onehot[adv] = cpe[adv]
-        return generate_rr_local(csr, onehot, n_rr, seed=seed)
+        return generate_rr_local(csr, onehot, blocks)
 
     from repro.costs.incentives import seed_costs
     from repro.influence.evaluate import singleton_spreads
@@ -113,15 +117,78 @@ def test_rr_width(ti_world):
         assert w[rr_id] == indeg[nodes].sum()
 
 
-def test_kpt_estimation_sane(ti_world):
-    def gen(n_rr, seed):
-        return ti_world["gen_adv"](0, n_rr, seed)
+def sequential_kpt(gen, csr, k, *, seed, sample_scale):
+    """TIM's KptEstimation [67] as written: iteration i draws its c_i sets
+    on its own, and the first iteration whose mean κ exceeds 2^-i stops."""
+    n, m = csr.n, csr.m
+    log2n = max(2, int(math.floor(math.log2(n))))
+    spent = 0
+    for i in range(1, log2n):
+        c_i = max(
+            16, int(sample_scale * (6 * math.log(n) + 6 * math.log(log2n)) * 2**i)
+        )
+        rr = gen(c_i, seed * 7919 + i)
+        spent += c_i
+        w = rr_width(rr, csr)
+        kappa = 1.0 - (1.0 - w / m) ** k
+        if kappa.mean() > 1.0 / 2**i:
+            return max(1.0, n * float(kappa.sum()) / (2.0 * c_i)), spent
+    return 1.0, spent
 
-    kpt, spent = kpt_estimation(gen, ti_world["csr"], 2, seed=3, sample_scale=0.5)
-    assert kpt >= 1.0
-    assert spent > 0
-    # KPT lower-bounds the best size-2 spread, which is ≤ n.
-    assert kpt <= ti_world["n"]
+
+@pytest.fixture(scope="module")
+def dense_csr():
+    """Every ordered pair an edge at p = 0.9: each RR set holds nearly every
+    node, so κ ≈ 1 and KptEstimation stops at its first iteration."""
+    n = 40
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    probs = np.full((2, len(src)), 0.9)
+    return build_csr(n, src, dst, probs, h=2, shared_probs=False)
+
+
+# scenario -> (graph, sample_scale): all iterations in one request; one
+# iteration per request, the later ones over a chunk; a stop at iteration 1.
+KPT_SCENARIOS = {
+    "one_group": ("ti", 0.5),
+    "alone": ("ti", 20.0),
+    "first": ("dense", 1.0),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("scenario", list(KPT_SCENARIOS))
+def test_kpt_estimation_equals_sequential_tim(ti_world, dense_csr, scenario, k, seed):
+    """Grouped draws give TIM's (KPT, spent) bit for bit, and simulate at
+    most one chunk of sets beyond those spent."""
+    graph, scale = KPT_SCENARIOS[scenario]
+    csr = ti_world["csr"] if graph == "ti" else dense_csr
+    onehot = np.array([1.0, 0.0])
+    requests = []
+
+    def grouped(blocks):
+        requests.append(list(blocks))
+        return instances._generate(None, csr, onehot, blocks)
+
+    def one(n_rr, s):
+        return generate_rr_local(csr, onehot, n_rr, seed=s)
+
+    got = kpt_estimation(grouped, csr, k, seed=seed, sample_scale=scale)
+    want = sequential_kpt(one, csr, k, seed=seed, sample_scale=scale)
+    assert got == want
+    kpt, spent = got
+    # KPT lower-bounds the best size-k spread, which is ≤ n.
+    assert 1.0 <= kpt <= csr.n and spent > 0
+    simulated = sum(n for blocks in requests for n, _ in blocks)
+    assert spent <= simulated <= spent + rrset._CHUNK
+    if scenario == "one_group":
+        assert len(requests) == 1
+        assert len(requests[0]) == math.floor(math.log2(csr.n)) - 1
+    elif scenario == "alone":
+        assert all(len(blocks) == 1 for blocks in requests)
+        assert requests[-1][0][0] > rrset._CHUNK
+    else:
+        assert spent == requests[0][0][0] and len(requests[0]) > 1
 
 
 @pytest.mark.parametrize("rule", ["gain", "rate"])

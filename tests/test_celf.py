@@ -8,6 +8,8 @@ copy for the other advertiser, and costs come from a two-value set shared by
 both advertisers, so equal keys between nodes and between advertisers are
 common and the tie-break is exercised.
 """
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core.greedy import greedy
 from repro.core.model import CoverageRevenueModel, RMProblem
 from repro.core.threshold_greedy import fill, threshold_greedy
 from repro.graphs.csr import build_csr
-from repro.influence.rrset import from_memberships
+from repro.influence.rrset import RRCollection, from_memberships
 
 EPS = 1e-12
 
@@ -315,7 +317,7 @@ def ti_world(n=10, h=2):
     csr = build_csr(n, src, dst, np.full((1, len(src)), 0.3), h=h, shared_probs=True)
     cpe = np.array([1.0, 1.0])
 
-    def gen_adv(adv, n_rr, seed):
+    def gen_block(adv, n_rr, seed):
         g = np.random.default_rng(seed)
         onehot = np.zeros(h)
         onehot[adv] = cpe[adv]
@@ -324,6 +326,11 @@ def ti_world(n=10, h=2):
         p = g.dirichlet(np.full(n, 0.5))
         mem = tied_memberships(g, n, h, (n_rr + 1) // 2, adv=adv, p=p)[:n_rr]
         return from_memberships(n, h, onehot, mem)
+
+    def gen_adv(adv, blocks):
+        """The blocks' collections, concatenated."""
+        parts = [gen_block(adv, n_rr, seed) for n_rr, seed in blocks]
+        return functools.reduce(RRCollection.merge, parts)
 
     node_cost = np.random.default_rng(5).choice([0.5, 1.0], size=n)
     return csr, gen_adv, np.tile(node_cost, (h, 1))
@@ -339,7 +346,7 @@ def eager_ti(gen_adv, csr, costs, budgets, *, rule, seed):
     n, h, eps = csr.n, len(budgets), KW["eps"]
     samples = [
         _AdvSample(
-            lambda n_rr, s, i=i: gen_adv(i, n_rr, s), csr, eps,
+            lambda blocks, i=i: gen_adv(i, blocks), csr, eps,
             KW["sample_scale"], KW["rr_cap"], seed + 17 * i, KW["max_latent"],
         )
         for i in range(h)

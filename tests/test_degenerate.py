@@ -135,10 +135,10 @@ def world():
 def run_ti(csr, cpe, costs, budgets, rule):
     h = len(budgets)
 
-    def gen_adv(adv, n_rr, seed):
+    def gen_adv(adv, blocks):
         onehot = np.zeros(csr.h)
         onehot[adv] = cpe[adv]
-        return generate_rr_local(csr, onehot, n_rr, seed=seed)
+        return generate_rr_local(csr, onehot, blocks)
 
     return ti_rm(
         gen_adv, csr, costs[:h], budgets, rule=rule,

@@ -7,6 +7,7 @@ import pytest
 
 import pyspark.sql.functions as F
 
+from repro.experiments import instances
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
@@ -241,6 +242,58 @@ def test_uneven_split_equals_one_call(small_csr, local_rr, monkeypatch, kernel):
     for part in parts[1:]:
         merged = merged.merge(part)
     assert_same_collection(merged, local_rr[kernel])
+
+
+# An empty block and a repeated seed among blocks of unequal sizes.
+BLOCKS = [(37, 5), (0, 6), (300, 7), (37, 5), (1, 8), (950, 9)]
+
+
+@pytest.mark.parametrize("chunk", [rrset._CHUNK, 64], ids=["one_bfs", "chunk64"])
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_multi_block_request_equals_per_block_calls(
+    small_csr, monkeypatch, kernel, chunk
+):
+    """Blocks share a BFS but no draw: a block-list request is the per-block
+    collections concatenated, in one BFS or with blocks split across
+    several."""
+    monkeypatch.setattr(rrset, "_CHUNK", chunk)
+    got = generate_rr_local(small_csr, CPE, BLOCKS, kernel=kernel)
+    parts = [
+        generate_rr_local(small_csr, CPE, n_rr, seed=s, kernel=kernel)
+        for n_rr, s in BLOCKS
+    ]
+    want = RRCollection.from_sets(
+        small_csr.n, small_csr.h, CPE,
+        np.concatenate([p.rr_adv for p in parts]),
+        np.concatenate([np.diff(p.rr_ptr) for p in parts]),
+        np.concatenate([p.members for p in parts]),
+    )
+    assert got.n_rr == sum(n_rr for n_rr, _ in BLOCKS)
+    assert_same_collection(got, want)
+
+
+def test_multi_block_generate_routing(small_csr, monkeypatch):
+    """``instances._generate`` makes a block list of at most one chunk in
+    one driver call (no Spark session needed), sends a single block down the
+    plain path, and refuses a block list over one chunk."""
+    calls = []
+    real = instances.generate_rr_local
+
+    def spy(csr, cpe, n_rr, **kw):
+        calls.append(n_rr)
+        return real(csr, cpe, n_rr, **kw)
+
+    monkeypatch.setattr(instances, "generate_rr_local", spy)
+    fit = [(rrset._CHUNK - 1, 1), (1, 2)]
+    got = instances._generate(None, small_csr, CPE, fit)
+    assert calls == [fit]
+    assert_same_collection(got, real(small_csr, CPE, fit))
+    calls.clear()
+    got = instances._generate(None, small_csr, CPE, [(700, 3)])
+    assert calls == [700]
+    assert_same_collection(got, real(small_csr, CPE, 700, seed=3))
+    with pytest.raises(ValueError):
+        instances._generate(None, small_csr, CPE, [(rrset._CHUNK, 1), (1, 2)])
 
 
 def test_counter_draws_are_uniform_and_independent():
