@@ -6,10 +6,12 @@ the others are scaled down, with budgets scaled by the node-count ratio so
 budget-to-reachable-revenue ratios are preserved.
 
 Building an instance runs edge generation, TIC/WC probability mixing and
-CSR assembly on the driver (numpy), then singleton spread estimation from a
-dedicated RR collection (on the driver, or Spark mapInArrow for large
+CSR assembly on the driver (numpy), then reads the mean RR-set size off one
+``_CHUNK`` of sets made on the driver, then estimates singleton spreads from
+a dedicated RR collection (on the driver, or Spark mapInArrow for large
 ones), then attaches the seed-incentive costs. Only that RR collection can
-start a Spark job.
+start a Spark job. The mean size (``Instance.width``) routes every later RR
+request of the instance to the driver or to Spark.
 """
 from __future__ import annotations
 
@@ -42,41 +44,21 @@ from repro.influence.rrset import (
 #
 # i.e. parity at ~2.7M members on flixster and ~2.6M on the WC graph.
 _SPARK_MIN_MEMBERS = 2_500_000
-# Sets generated on the driver to read the mean width off.
-_WIDTH_PROBE = 1024
 
 
-def _generate(spark, csr, cpe, n_rr, seed=None, kernel="standard") -> RRCollection:
-    """RR sets 0..n_rr-1 of (csr, cpe, kernel, seed), or, when ``n_rr`` is a
-    list of ``(n_j, s_j)`` blocks, sets 0..n_j-1 of each seed s_j in turn,
-    as ``generate_rr_local`` numbers them.
+def _generate(spark, csr, cpe, blocks, width, kernel="standard") -> RRCollection:
+    """Sets 0..n_j-1 of (csr, cpe, kernel, s_j) for each ``(n_j, s_j)`` of
+    ``blocks`` in turn, as ``generate_rr_local`` numbers them, in one call.
 
-    One block is a plain request. Both of its paths return the same
-    collection; the expected member count, read off the first
-    ``_WIDTH_PROBE`` sets made on the driver, only picks the faster one. On
-    the driver the remaining sets are appended to the probe. Several blocks
-    (at most ``_CHUNK`` sets in all) are made on the driver.
+    A single block whose expected members (sets × ``width``, the instance's
+    mean RR-set size) exceed ``_SPARK_MIN_MEMBERS`` runs on Spark; every
+    other request, a block list of any size included (Spark takes one seed
+    range), runs on the driver. Both paths return the same collection.
     """
-    if seed is None and len(n_rr) == 1:
-        [(n_rr, seed)] = n_rr
-    if seed is None:
-        # Spark fans out whole _CHUNKs, one task each, so a request of at
-        # most one chunk would run as a single task: the driver makes it,
-        # all blocks in one BFS.
-        if sum(n for n, _ in n_rr) > _CHUNK:
-            raise ValueError(f"a multi-block request spans more than {_CHUNK} sets")
-        return generate_rr_local(csr, cpe, n_rr, kernel=kernel)
-    head = generate_rr_local(
-        csr, cpe, min(n_rr, _WIDTH_PROBE), seed=seed, kernel=kernel
-    )
-    if n_rr <= _WIDTH_PROBE:
-        return head
-    if n_rr * len(head.members) <= _SPARK_MIN_MEMBERS * head.n_rr:
-        tail = generate_rr_local(
-            csr, cpe, n_rr - head.n_rr, seed=seed, kernel=kernel, first=head.n_rr
-        )
-        return head.merge(tail)
-    return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
+    if len(blocks) == 1 and blocks[0][0] * width > _SPARK_MIN_MEMBERS:
+        [(n_rr, seed)] = blocks
+        return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
+    return generate_rr_local(csr, cpe, blocks, kernel=kernel)
 
 
 # Paper Table 2 (LastFM at native scale; Flixster budgets scaled by n ratio
@@ -120,13 +102,10 @@ class Instance:
     name: str
     n: int
     h: int
-    src: np.ndarray
-    dst: np.ndarray
-    directed: bool
     cpe: np.ndarray
     budgets: np.ndarray
-    shared_probs: bool
     csr: CSRGraph
+    width: float  # mean RR-set size of the σ stream: routes each request
     sigma1: np.ndarray  # (h, n) singleton spread estimates
     costs: np.ndarray  # (h, n) seeding costs
     alpha: float
@@ -134,26 +113,26 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.src)
+        return self.csr.m
 
     def rr_gen(self, spark: SparkSession, kernel: str = "standard"):
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
 
         def gen(n_rr: int, seed: int) -> RRCollection:
-            return _generate(spark, self.csr, self.cpe, n_rr, seed, kernel)
+            return _generate(
+                spark, self.csr, self.cpe, [(n_rr, seed)], self.width, kernel
+            )
 
         return gen
 
     def rr_gen_adv(self, spark: SparkSession, kernel: str = "standard"):
         """Per-advertiser RR generator for the TI baselines: gen(adv, blocks)
-        for a list of ``(n_rr, seed)`` blocks. One block takes the
-        local/Spark split; several (at most ``_CHUNK`` sets) run on the
-        driver in one BFS."""
+        for a list of ``(n_rr, seed)`` blocks, made in one call."""
 
         def gen(adv: int, blocks) -> RRCollection:
             onehot = np.zeros(self.h)
             onehot[adv] = self.cpe[adv]
-            return _generate(spark, self.csr, onehot, blocks, kernel=kernel)
+            return _generate(spark, self.csr, onehot, blocks, self.width, kernel)
 
         return gen
 
@@ -194,21 +173,21 @@ def build_instance(
         budgets = np.asarray(cfg["budgets"], dtype=np.float64)
         cpe = np.asarray(cfg["cpes"], dtype=np.float64)
     csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    seed = cfg["seed"] + 77
+    probe = generate_rr_local(csr, cpe, _CHUNK, seed=seed)
+    width = len(probe.members) / probe.n_rr
     sigma1 = singleton_spreads(
-        _generate(spark, csr, cpe, min(20 * n, 200_000), cfg["seed"] + 77)
+        _generate(spark, csr, cpe, [(min(20 * n, 200_000), seed)], width)
     )
     costs = seed_costs(sigma1, alpha, cost_model)
     return Instance(
         name=preset,
         n=n,
         h=h,
-        src=src,
-        dst=dst,
-        directed=cfg["directed"],
         cpe=cpe,
         budgets=budgets,
-        shared_probs=shared,
         csr=csr,
+        width=width,
         sigma1=sigma1,
         costs=costs,
         alpha=alpha,
@@ -251,5 +230,7 @@ def get_eval_rr(
     """Independent evaluation collection (the paper's 10^7-RR analogue)."""
     key = (inst.name, n_eval, seed)
     if key not in _EVAL_CACHE:
-        _EVAL_CACHE[key] = _generate(spark, inst.csr, inst.cpe, n_eval, seed)
+        _EVAL_CACHE[key] = _generate(
+            spark, inst.csr, inst.cpe, [(n_eval, seed)], inst.width
+        )
     return _EVAL_CACHE[key]

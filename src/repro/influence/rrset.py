@@ -421,25 +421,22 @@ def generate_rr_local(
     *,
     seed: int | None = None,
     kernel: str = "standard",
-    first: int = 0,
 ) -> RRCollection:
     """Driver-only generation of RR sets, renumbered from 0, with no Spark
     job.
 
     ``n_rr`` is a set count or a list of ``(n_j, s_j)`` blocks. A count
-    gives sets first..first+n_rr-1 of (seed, kernel). A block list (with no
-    ``seed``) gives sets 0..n_j-1 of each seed s_j, in block order: set k of
-    block j is set k of ``generate_rr_local(csr, cpe, n_j, seed=s_j)``. The
-    blocks share each ``_CHUNK``-set BFS, so many small blocks pay the
-    per-level cost of one.
+    gives sets 0..n_rr-1 of (seed, kernel), the one block ``(n_rr, seed)``.
+    A block list (with no ``seed``) gives sets 0..n_j-1 of each seed s_j,
+    in block order: set k of block j is set k of
+    ``generate_rr_local(csr, cpe, n_j, seed=s_j)``. The blocks share each
+    ``_CHUNK``-set BFS, so many small blocks pay the per-level cost of one.
     """
     cpe = np.asarray(cpe, dtype=np.float64)
-    if seed is None:
-        keys = np.concatenate(
-            [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in n_rr]
-        )
-    else:
-        keys = _set_keys(seed, first, first + n_rr)
+    blocks = n_rr if seed is None else [(n_rr, seed)]
+    keys = np.concatenate(
+        [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in blocks]
+    )
     sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel)
     return RRCollection.from_sets(csr.n, csr.h, cpe, *sets)
 

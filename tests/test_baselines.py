@@ -168,7 +168,8 @@ def test_kpt_estimation_equals_sequential_tim(ti_world, dense_csr, scenario, k, 
 
     def grouped(blocks):
         requests.append(list(blocks))
-        return instances._generate(None, csr, onehot, blocks)
+        # No Spark session: width 0 keeps every request on the driver.
+        return instances._generate(None, csr, onehot, blocks, 0.0)
 
     def one(n_rr, s):
         return generate_rr_local(csr, onehot, n_rr, seed=s)

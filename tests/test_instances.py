@@ -10,7 +10,7 @@ from repro.experiments.instances import (
     get_instance,
 )
 from repro.graphs.csr import build_csr
-from repro.influence.rrset import generate_rr_local
+from repro.influence.rrset import _CHUNK, RRCollection, generate_rr_local
 
 
 def test_preset_catalogue():
@@ -84,28 +84,53 @@ def test_wc_preset_probabilities():
     assert np.allclose(csr.in_probs[0], 1.0 / indeg[head])
 
 
-@pytest.mark.parametrize("n_rr", [0, 700, 5000])
-@pytest.mark.parametrize("min_members", [0, 10**12])
-def test_generate_dispatch_returns_the_same_collection(
-    spark, tiny_inst, monkeypatch, n_rr, min_members
-):
-    """The local/Spark choice changes speed only: whichever path the
-    member-count rule picks, the collection equals the driver's."""
+# request -> (blocks, _SPARK_MIN_MEMBERS, the path that must make it)
+ROUTES = {
+    "single_under": ([(700, 17)], 10**12, "local"),
+    "single_over": ([(700, 17)], 0, "spark"),
+    "blocks": ([(37, 5), (300, 7), (37, 5)], 0, "local"),
+    "blocks_over_chunk": ([(_CHUNK, 1), (1, 2)], 0, "local"),
+    "empty_block": ([(0, 17)], 0, "local"),
+    "no_blocks": ([], 0, "local"),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, route):
+    """Every request is one driver or one Spark call, never a merge: a
+    single block whose expected members (sets × the instance's width) pass
+    the threshold goes to Spark, anything else to the driver. Both paths
+    return the driver's collection."""
+    blocks, min_members, path = ROUTES[route]
     calls = []
-    real = instances.generate_rr_collection
 
-    def spy(spark, csr, cpe, n_rr, **kw):
-        calls.append(n_rr)
-        return real(spark, csr, cpe, n_rr, **kw)
+    def spy(owner, name, label):
+        real = getattr(owner, name)
 
+        def wrapper(*a, **kw):
+            calls.append(label)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(instances, "generate_rr_local", "local")
+    spy(instances, "generate_rr_collection", "spark")
+    spy(RRCollection, "merge", "merge")
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
-    monkeypatch.setattr(instances, "generate_rr_collection", spy)
-    got = instances._generate(spark, tiny_inst.csr, tiny_inst.cpe, n_rr, 17)
-    want = generate_rr_local(tiny_inst.csr, tiny_inst.cpe, n_rr, seed=17)
-    probe = instances._WIDTH_PROBE
-    assert calls == ([n_rr] if min_members == 0 and n_rr > probe else [])
+    inst = tiny_inst
+    got = instances._generate(spark, inst.csr, inst.cpe, blocks, inst.width)
+    assert calls == [path]
+    want = generate_rr_local(inst.csr, inst.cpe, blocks)
+    assert got.n_rr == sum(n for n, _ in blocks)
     for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_width_is_the_mean_size_of_one_chunk_of_the_sigma_stream(tiny_inst):
+    probe = generate_rr_local(
+        tiny_inst.csr, tiny_inst.cpe, _CHUNK, seed=PRESETS["tiny"]["seed"] + 77
+    )
+    assert tiny_inst.width == len(probe.members) / probe.n_rr
 
 
 def test_setup_starts_no_spark_job(spark):

@@ -7,7 +7,6 @@ import pytest
 
 import pyspark.sql.functions as F
 
-from repro.experiments import instances
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
@@ -230,12 +229,17 @@ def test_generation_is_prefix_closed(small_csr, local_rr, kernel):
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
 def test_uneven_split_equals_one_call(small_csr, local_rr, monkeypatch, kernel):
-    """Sets first..stop-1 generated alone, in chunks of any size, are those
-    sets of one call: merging uneven ranges gives the whole collection."""
+    """Sets lo..hi-1 simulated alone, in chunks of any size, as a Spark task
+    simulates its range, are those sets of one call: merging uneven ranges
+    gives the whole collection."""
     monkeypatch.setattr(rrset, "_CHUNK", 333)
     cuts = [0, 1, 17, 1000, 1001, 4097, N_EXACT]
+    weights = CPE / CPE.sum()
     parts = [
-        generate_rr_local(small_csr, CPE, hi - lo, seed=12, kernel=kernel, first=lo)
+        RRCollection.from_sets(
+            small_csr.n, small_csr.h, CPE,
+            *rrset._rr_sets(rrset._set_keys(12, lo, hi), small_csr, weights, kernel),
+        )
         for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
     merged = parts[0]
@@ -270,30 +274,6 @@ def test_multi_block_request_equals_per_block_calls(
     )
     assert got.n_rr == sum(n_rr for n_rr, _ in BLOCKS)
     assert_same_collection(got, want)
-
-
-def test_multi_block_generate_routing(small_csr, monkeypatch):
-    """``instances._generate`` makes a block list of at most one chunk in
-    one driver call (no Spark session needed), sends a single block down the
-    plain path, and refuses a block list over one chunk."""
-    calls = []
-    real = instances.generate_rr_local
-
-    def spy(csr, cpe, n_rr, **kw):
-        calls.append(n_rr)
-        return real(csr, cpe, n_rr, **kw)
-
-    monkeypatch.setattr(instances, "generate_rr_local", spy)
-    fit = [(rrset._CHUNK - 1, 1), (1, 2)]
-    got = instances._generate(None, small_csr, CPE, fit)
-    assert calls == [fit]
-    assert_same_collection(got, real(small_csr, CPE, fit))
-    calls.clear()
-    got = instances._generate(None, small_csr, CPE, [(700, 3)])
-    assert calls == [700]
-    assert_same_collection(got, real(small_csr, CPE, 700, seed=3))
-    with pytest.raises(ValueError):
-        instances._generate(None, small_csr, CPE, [(rrset._CHUNK, 1), (1, 2)])
 
 
 def test_counter_draws_are_uniform_and_independent():
