@@ -84,24 +84,9 @@ def test_wc_preset_probabilities():
     assert np.allclose(csr.in_probs[0], 1.0 / indeg[head])
 
 
-# request -> (blocks, _SPARK_MIN_MEMBERS, the path that must make it)
-ROUTES = {
-    "single_under": ([(700, 17)], 10**12, "local"),
-    "single_over": ([(700, 17)], 0, "spark"),
-    "blocks": ([(37, 5), (300, 7), (37, 5)], 0, "local"),
-    "blocks_over_chunk": ([(_CHUNK, 1), (1, 2)], 0, "local"),
-    "empty_block": ([(0, 17)], 0, "local"),
-    "no_blocks": ([], 0, "local"),
-}
-
-
-@pytest.mark.parametrize("route", list(ROUTES))
-def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, route):
-    """Every request is one driver or one Spark call, never a merge: a
-    single block whose expected members (sets × the instance's width) pass
-    the threshold goes to Spark, anything else to the driver. Both paths
-    return the driver's collection."""
-    blocks, min_members, path = ROUTES[route]
+def _spy_paths(monkeypatch):
+    """Record, in order, each driver ("local") or Spark ("spark") generation
+    call and each ``RRCollection.merge`` that ``_generate`` makes."""
     calls = []
 
     def spy(owner, name, label):
@@ -116,14 +101,54 @@ def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, rout
     spy(instances, "generate_rr_local", "local")
     spy(instances, "generate_rr_collection", "spark")
     spy(RRCollection, "merge", "merge")
-    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
-    inst = tiny_inst
-    got = instances._generate(spark, inst.csr, inst.cpe, blocks, inst.width)
-    assert calls == [path]
-    want = generate_rr_local(inst.csr, inst.cpe, blocks)
-    assert got.n_rr == sum(n for n, _ in blocks)
+    return calls
+
+
+def _assert_same_collection(got, want):
     for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("n_rr", [0, 700, 5000])
+@pytest.mark.parametrize("min_members", [0, 10**12])
+def test_generate_dispatch_returns_the_same_collection(
+    spark, tiny_inst, monkeypatch, n_rr, min_members
+):
+    """The local/Spark choice changes speed only: a single block goes to
+    Spark in one call when its expected members (sets × the instance's
+    width) pass the threshold, to the driver in one call otherwise, and
+    either way the collection equals the driver's."""
+    calls = _spy_paths(monkeypatch)
+    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
+    inst = tiny_inst
+    got = instances._generate(spark, inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
+    assert calls == ["spark" if n_rr * inst.width > min_members else "local"]
+    want = generate_rr_local(inst.csr, inst.cpe, n_rr, seed=17)
+    assert got.n_rr == n_rr
+    _assert_same_collection(got, want)
+
+
+# block list -> what every list of blocks must be: one driver call
+BLOCK_LISTS = {
+    "blocks": [(37, 5), (300, 7), (37, 5)],
+    "blocks_over_chunk": [(_CHUNK, 1), (1, 2)],
+    "no_blocks": [],
+}
+
+
+@pytest.mark.parametrize("route", list(BLOCK_LISTS))
+def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, route):
+    """A request of several blocks (or none) is one driver call, never a
+    merge, however many members it holds: Spark takes one seed range only."""
+    blocks = BLOCK_LISTS[route]
+    calls = _spy_paths(monkeypatch)
+    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 0)
+    inst = tiny_inst
+    got = instances._generate(spark, inst.csr, inst.cpe, blocks, inst.width)
+    assert calls == ["local"]
+    want = generate_rr_local(inst.csr, inst.cpe, blocks)
+    assert got.n_rr == sum(n for n, _ in blocks)
+    _assert_same_collection(got, want)
 
 
 def test_width_is_the_mean_size_of_one_chunk_of_the_sigma_stream(tiny_inst):
