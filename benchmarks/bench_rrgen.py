@@ -21,7 +21,7 @@ def wc_graph():
     src, dst = powerlaw_edges(n, 60000, seed=61)
     indeg = np.bincount(dst, minlength=n)
     probs = (1.0 / indeg[dst])[None, :]
-    return build_csr(n, src, dst, probs, h=1, shared_probs=True)
+    return build_csr(n, src, dst, probs)
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
@@ -39,7 +39,7 @@ def tic_graph():
     src, dst = powerlaw_edges(n, 14700, seed=63)
     g = np.random.default_rng(63)
     probs = g.uniform(0.0, 0.15, size=(1, len(src)))
-    return build_csr(n, src, dst, probs, h=1, shared_probs=True)
+    return build_csr(n, src, dst, probs)
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
@@ -59,7 +59,7 @@ def lastfm_tic_graph():
     src, dst = powerlaw_edges(n, 14700, seed=65)
     topics = tic_topic_entries(len(src), L, seed=66, density=0.137, p_max=0.4)
     probs = tic_probs(topics, ad_mixtures(h, L, seed=67), len(src))
-    return build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    return build_csr(n, src, dst, probs)
 
 
 # The generation calls of one `ti_lastfm` cell (TI-CARM then TI-CSRM on
@@ -74,13 +74,14 @@ _TI_CALLS = [(_KPT_SIZES, 100), ((16_000,), 100)]
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
 def test_rrgen_ti_calls(benchmark, lastfm_tic_graph, kernel):
     g = lastfm_tic_graph
+    h = len(g.in_probs)  # one probability row per advertiser
     requests = [sizes for sizes, calls in _TI_CALLS for _ in range(calls)]
 
     def ti_calls():
         sets = 0
         for i, sizes in enumerate(requests):
-            onehot = np.zeros(g.h)
-            onehot[i % g.h] = 1.0
+            onehot = np.zeros(h)
+            onehot[i % h] = 1.0
             blocks = [(n_rr, len(sizes) * i + j) for j, n_rr in enumerate(sizes)]
             sets += generate_rr_local(g, onehot, blocks, kernel=kernel).n_rr
         return sets

@@ -67,7 +67,6 @@ def rm_without_oracle(
     costs: np.ndarray,
     budgets: np.ndarray,
     cpe: np.ndarray,
-    n: int,
     *,
     eps: float = 0.02,
     tau: float = 0.1,
@@ -76,13 +75,14 @@ def rm_without_oracle(
     rr_cap: int | None = None,
     seed: int = 7,
 ) -> RMAResult:
-    """Run RMA. ``rr_gen(n_rr, seed)`` produces a fresh RR collection.
-    Before returning, the §4.4 bias check may enlarge both collections and
-    re-solve (``BIAS_THRESHOLD``, ``BIAS_FACTOR``)."""
+    """Run RMA. ``rr_gen(n_rr, seed)`` produces a fresh RR collection;
+    ``costs`` is (h, n) and gives both counts (δ = 1/n). Before returning,
+    the §4.4 bias check may enlarge both collections and re-solve
+    (``BIAS_THRESHOLD``, ``BIAS_FACTOR``)."""
     costs = np.asarray(costs, dtype=np.float64)
     budgets = np.asarray(budgets, dtype=np.float64)
     cpe = np.asarray(cpe, dtype=np.float64)
-    h = len(budgets)
+    h, n = costs.shape
     delta = 1.0 / n  # failure probability δ, as in §5.1
     lam = approx_ratio(h, tau)
     delta_p = delta / 4.0
@@ -122,7 +122,7 @@ def rm_without_oracle(
         prob1 = RMProblem(model1, costs, (1.0 + rho / 2.0) * budgets)
         res = rm_with_oracle(prob1, tau)
         alloc = res.allocation
-        z = seek_ub(res, lam, h)
+        z = seek_ub(res, lam)
 
         # Validation on R₂: each π̃_i(S_i*, R₂) once, for the Lemma B.7
         # budget check and for π̃(S⃗*, R₂).

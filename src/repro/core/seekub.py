@@ -10,8 +10,9 @@ from __future__ import annotations
 from repro.core.rm_oracle import OracleResult
 
 
-def seek_ub(res: OracleResult, lam: float, h: int) -> float:
+def seek_ub(res: OracleResult, lam: float) -> float:
     """Upper bound z on π̃(O⃗, R₁), from the RM_with_Oracle result on R₁."""
+    h = len(res.allocation)
     trivial = res.pi_star / lam
     if h == 1 or res.search is None:
         return trivial

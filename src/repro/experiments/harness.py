@@ -84,7 +84,6 @@ def run_rma(
         inst.costs,
         inst.budgets,
         inst.cpe,
-        inst.n,
         eps=eps,
         tau=tau,
         rho=rho,

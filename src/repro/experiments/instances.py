@@ -61,8 +61,8 @@ def _generate(spark, csr, cpe, blocks, width, kernel="standard") -> RRCollection
     return generate_rr_local(csr, cpe, blocks, kernel=kernel)
 
 
-# Paper Table 2 (LastFM at native scale; Flixster budgets scaled by n ratio
-# 6K/30K = 1/5). WC presets use uniform budgets as in §5.2.3.
+# Paper Table 2 (LastFM at native scale; Flixster budgets at 1/10, 6K–20K →
+# 600–2000, as are its nodes). WC presets use uniform budgets as in §5.2.3.
 _LASTFM_BUDGETS = [100.0, 120.0, 150.0, 180.0, 220.0, 260.0, 300.0, 370.0, 500.0, 1200.0]
 _FLIXSTER_BUDGETS = [600.0, 700.0, 800.0, 900.0, 1000.0, 1000.0, 1100.0, 1200.0, 1500.0, 2000.0]
 _TIC_CPES = [1.0, 1.1, 1.2, 1.3, 1.4, 1.6, 1.7, 1.8, 1.9, 2.0]
@@ -100,8 +100,6 @@ class Instance:
     """A fully-assembled RM problem instance."""
 
     name: str
-    n: int
-    h: int
     cpe: np.ndarray
     budgets: np.ndarray
     csr: CSRGraph
@@ -112,8 +110,16 @@ class Instance:
     cost_model: str
 
     @property
+    def n(self) -> int:
+        return self.csr.n
+
+    @property
     def m(self) -> int:
         return self.csr.m
+
+    @property
+    def h(self) -> int:
+        return len(self.cpe)
 
     def rr_gen(self, spark: SparkSession, kernel: str = "standard"):
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
@@ -137,10 +143,17 @@ class Instance:
         return gen
 
 
-def _graph_and_probs(cfg: dict):
+def preset_edges(cfg: dict):
+    """The (src, dst) edge arrays of a preset, both directions if undirected."""
     src, dst = powerlaw_edges(cfg["n"], cfg["m"], seed=cfg["seed"])
     if not cfg["directed"]:
         src, dst = symmetrize(src, dst)
+    return src, dst
+
+
+def _graph_and_probs(cfg: dict):
+    """Edges and their probabilities: (h, m) under TIC, (1, m) under WC."""
+    src, dst = preset_edges(cfg)
     m = len(src)
     if cfg["model"] == "tic":
         topic_pdf = tic_topic_entries(
@@ -148,11 +161,9 @@ def _graph_and_probs(cfg: dict):
         )
         phi = ad_mixtures(cfg["h"], cfg["L"], seed=cfg["seed"] + 2)
         probs = tic_probs(topic_pdf, phi, m)
-        shared = False
     else:
         probs = wc_probs(dst, cfg["n"])[None, :]
-        shared = True
-    return src, dst, probs, shared
+    return src, dst, probs
 
 
 def build_instance(
@@ -164,7 +175,7 @@ def build_instance(
 ) -> Instance:
     """Assemble an instance from a preset (no caching — see get_instance)."""
     cfg = PRESETS[preset]
-    src, dst, probs, shared = _graph_and_probs(cfg)
+    src, dst, probs = _graph_and_probs(cfg)
     n, h = cfg["n"], cfg["h"]
     if cfg["model"] == "wc":
         budgets = np.full(h, float(cfg["uniform_budget"]))
@@ -172,7 +183,7 @@ def build_instance(
     else:
         budgets = np.asarray(cfg["budgets"], dtype=np.float64)
         cpe = np.asarray(cfg["cpes"], dtype=np.float64)
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    csr = build_csr(n, src, dst, probs)
     seed = cfg["seed"] + 77
     probe = generate_rr_local(csr, cpe, _CHUNK, seed=seed)
     width = len(probe.members) / probe.n_rr
@@ -182,8 +193,6 @@ def build_instance(
     costs = seed_costs(sigma1, alpha, cost_model)
     return Instance(
         name=preset,
-        n=n,
-        h=h,
         cpe=cpe,
         budgets=budgets,
         csr=csr,

@@ -3,8 +3,9 @@
 Every builder returns a pandas DataFrame whose rows mirror the paper's
 table; ``jobs/`` entrypoints print them and EXPERIMENTS.md records paper
 numbers next to ours. ``EXP`` holds the per-dataset experiment scales
-(DESIGN.md § Substitutions — one ``sample_scale`` shared by RMA and the
-TI baselines so runtime/revenue *ratios* are comparable).
+(DESIGN.md § Substitutions): one ``sample_scale`` for every algorithm,
+which sets RMA's θ, and caps on collection sizes; TI's θ is set by its
+cap, ``ti_cap``, not by ``sample_scale``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from repro.experiments.instances import (
     PRESETS,
     get_eval_rr,
     get_instance,
+    preset_edges,
 )
-from repro.graphs.generators import powerlaw_edges, symmetrize
 
 # Per-dataset experiment scales: one sample_scale for every algorithm, and
 # safety caps on collection sizes (per run for RMA, per advertiser for TI).
@@ -54,9 +55,7 @@ def table1_datasets() -> pd.DataFrame:
     rows = []
     for name in ("lastfm_lite", "flixster_lite", "dblp_lite", "livejournal_lite"):
         cfg = PRESETS[name]
-        src, dst = powerlaw_edges(cfg["n"], cfg["m"], seed=cfg["seed"])
-        if not cfg["directed"]:
-            src, dst = symmetrize(src, dst)
+        src, _ = preset_edges(cfg)
         rows.append(
             dict(
                 dataset=name,
@@ -166,10 +165,7 @@ def table5_tau(
     """
     records: list[RunRecord] = []
     for tau in taus:
-        recs = _run_all(spark, dataset, 0.1, tau=tau, algos=("RMA",))
-        for r in recs:
-            r.params["tau"] = tau
-        records.extend(recs)
+        records.extend(_run_all(spark, dataset, 0.1, tau=tau, algos=("RMA",)))
     base = _run_all(spark, dataset, 0.1, algos=("TI-CARM", "TI-CSRM"))
     records.extend(base)
     rows = [

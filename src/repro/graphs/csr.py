@@ -2,9 +2,9 @@
 
 The RR-set kernels traverse *in*-edges (reverse reachability); the layout
 is built once per instance and broadcast to executors. Probabilities are
-stored aligned to the in-CSR edge order, one row per advertiser (or a
-single shared row under the Weighted-Cascade model, where all ads share
-``p_uv = 1/indeg(v)``).
+stored aligned to the in-CSR edge order, one row per advertiser, or a
+single row every ad shares under the Weighted-Cascade model (``p_uv =
+1/indeg(v)``); the row count is the only record of which case holds.
 
 For the SUBSIM kernel each node's in-edge slice is also sorted by
 probability (descending) per advertiser, so the geometric-skipping sampler
@@ -26,13 +26,11 @@ class CSRGraph:
 
     n: int
     m: int
-    h: int
     # In-CSR: in_indices[in_indptr[v]:in_indptr[v+1]] are in-neighbours of v.
     in_indptr: np.ndarray
     in_indices: np.ndarray
-    # (h, m) probabilities aligned to in-CSR order; (1, m) when shared.
+    # (h, m) probabilities aligned to in-CSR order; (1, m): one row ads share.
     in_probs: np.ndarray
-    shared_probs: bool
 
     @cached_property
     def subsim_aux(self) -> tuple[np.ndarray, np.ndarray]:
@@ -61,26 +59,16 @@ def _csr_order(key: np.ndarray, n: int):
     return indptr, order
 
 
-def build_csr(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    probs: np.ndarray,
-    *,
-    h: int,
-    shared_probs: bool,
-) -> CSRGraph:
+def build_csr(n: int, src: np.ndarray, dst: np.ndarray, probs: np.ndarray) -> CSRGraph:
     """Assemble the in-CSR layout (the SUBSIM auxiliaries come on first use).
 
-    ``probs`` has shape (h, m) (edge order = input edge order) or (m,) when
-    shared across advertisers.
+    ``probs`` has shape (h, m), one row per advertiser, or (1, m) or (m,)
+    when shared across advertisers; columns follow the input edge order.
     """
     m = len(src)
     probs2d = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    if shared_probs:
-        assert probs2d.shape == (1, m)
-    else:
-        assert probs2d.shape == (h, m)
+    if probs2d.shape[1] != m:
+        raise ValueError(f"probs has {probs2d.shape[1]} columns for {m} edges")
 
     in_indptr, in_order = _csr_order(dst, n)
     in_indices = src[in_order].astype(np.int64)
@@ -90,9 +78,7 @@ def build_csr(
     return CSRGraph(
         n=n,
         m=m,
-        h=h,
         in_indptr=in_indptr,
         in_indices=in_indices,
         in_probs=in_probs,
-        shared_probs=shared_probs,
     )

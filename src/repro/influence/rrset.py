@@ -222,7 +222,7 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
     n, n_sets = g.n, len(keys)
     advs = np.searchsorted(cdf, _uniform(keys, _ADV), side="right")
     roots = (_uniform(keys, _ROOT) * n).astype(np.int64)
-    rows = np.zeros_like(advs) if g.shared_probs else advs
+    rows = advs if len(g.in_probs) > 1 else np.zeros_like(advs)
     slots = np.arange(n_sets, dtype=np.int64)
     # Larger than every code: keeps searchsorted inside the visited array.
     sentinel = np.array([n_sets * n], dtype=np.int64)
@@ -293,12 +293,12 @@ class RRCollection:
       of the RR sets generated for advertiser ``adv`` that contain ``node``
       are ``rr_ids[key_ptr[k]:key_ptr[k+1]]`` with ``k = adv * n + node``,
       in increasing order.
+
+    h is ``len(cpe)`` and |R| is ``len(rr_adv)``, read off the arrays.
     """
 
     n: int
-    h: int
-    cpe: np.ndarray
-    n_rr: int
+    cpe: np.ndarray  # (h,)
     rr_adv: np.ndarray  # (n_rr,)
     rr_ptr: np.ndarray  # (n_rr + 1,)
     members: np.ndarray  # node ids, RR-major
@@ -306,18 +306,23 @@ class RRCollection:
     rr_ids: np.ndarray  # RR ids, key-major
 
     @classmethod
-    def from_sets(cls, n, h, cpe, rr_adv, rr_len, members):
+    def from_sets(cls, n, cpe, rr_adv, rr_len, members):
         """Index RR sets given set by set: set r has advertiser ``rr_adv[r]``
         and the next ``rr_len[r]`` entries of ``members``."""
-        n_rr = len(rr_adv)
-        rr = np.repeat(np.arange(n_rr, dtype=np.int64), rr_len)
+        cpe = np.asarray(cpe, dtype=np.float64)
+        rr = np.repeat(np.arange(len(rr_adv), dtype=np.int64), rr_len)
         key = rr_adv[rr] * n + members
-        key_ptr = _ptr(np.bincount(key, minlength=h * n))
-        rr_ids = rr[_stable_order(key, h * n)]
-        return cls(
-            n, h, np.asarray(cpe, dtype=np.float64), n_rr, rr_adv,
-            _ptr(rr_len), members, key_ptr, rr_ids,
-        )
+        key_ptr = _ptr(np.bincount(key, minlength=len(cpe) * n))
+        rr_ids = rr[_stable_order(key, len(cpe) * n)]
+        return cls(n, cpe, rr_adv, _ptr(rr_len), members, key_ptr, rr_ids)
+
+    @property
+    def h(self) -> int:
+        return len(self.cpe)
+
+    @property
+    def n_rr(self) -> int:
+        return len(self.rr_adv)
 
     @property
     def gamma(self) -> float:
@@ -382,9 +387,7 @@ class RRCollection:
         ] = other.rr_ids + self.n_rr
         return RRCollection(
             self.n,
-            self.h,
             self.cpe,
-            self.n_rr + other.n_rr,
             np.concatenate([self.rr_adv, other.rr_adv]),
             np.concatenate([self.rr_ptr, other.rr_ptr[1:] + self.rr_ptr[-1]]),
             np.concatenate([self.members, other.members]),
@@ -398,9 +401,7 @@ class RRCollection:
 # ---------------------------------------------------------------------------
 
 
-def from_memberships(
-    n: int, h: int, cpe, memberships: list[tuple[int, set]]
-) -> RRCollection:
+def from_memberships(n: int, cpe, memberships: list[tuple[int, set]]) -> RRCollection:
     """Build a collection from explicit (advertiser, node-set) RR sets.
 
     Used by tests to construct exact coverage instances (e.g. the paper's
@@ -411,7 +412,7 @@ def from_memberships(
     members = np.fromiter(
         (int(v) for _, nodes in memberships for v in nodes), np.int64, rr_len.sum()
     )
-    return RRCollection.from_sets(n, h, cpe, rr_adv, rr_len, members)
+    return RRCollection.from_sets(n, cpe, rr_adv, rr_len, members)
 
 
 def generate_rr_local(
@@ -438,7 +439,7 @@ def generate_rr_local(
         [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in blocks]
     )
     sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel)
-    return RRCollection.from_sets(csr.n, csr.h, cpe, *sets)
+    return RRCollection.from_sets(csr.n, cpe, *sets)
 
 
 def generate_rr_collection(
@@ -490,6 +491,4 @@ def generate_rr_collection(
     nodes = table["nodes"].chunks
     rr_len = np.concatenate([_EMPTY] + [c.value_lengths().to_numpy() for c in nodes])
     members = np.concatenate([_EMPTY] + [c.flatten().to_numpy() for c in nodes])
-    return RRCollection.from_sets(
-        csr.n, csr.h, cpe, table["adv"].to_numpy(), rr_len, members
-    )
+    return RRCollection.from_sets(csr.n, cpe, table["adv"].to_numpy(), rr_len, members)

@@ -31,7 +31,7 @@ def random_coverage_problem(
         size = int(g.integers(1, max_rr_size + 1))
         nodes = set(int(x) for x in g.choice(n, size=size, replace=False))
         memberships.append((adv, nodes))
-    rr = from_memberships(n, h, cpe, memberships)
+    rr = from_memberships(n, cpe, memberships)
     model = CoverageRevenueModel(rr)
     costs = g.uniform(*cost_range, size=(h, n))
     budgets = g.uniform(*budget_range, size=h)

@@ -26,7 +26,7 @@ def _footnote8_problem():
         + [(0, {1}) for _ in range(50)]
         + [(0, {2}) for _ in range(45)]
     )
-    rr = from_memberships(186, 1, [1.0], mem)
+    rr = from_memberships(186, [1.0], mem)
     model = CoverageRevenueModel(rr)
     costs = np.array([[9.0, 3.0, 2.0] + [1000.0] * 183])
     budgets = np.array([100.0])
@@ -90,7 +90,7 @@ def ti_world():
     src, dst = powerlaw_edges(n, 600, seed=51)
     g = np.random.default_rng(51)
     probs = g.uniform(0.03, 0.3, size=(h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     cpe = np.array([1.0, 1.5])
 
     def gen_adv(adv, blocks):
@@ -143,7 +143,7 @@ def dense_csr():
     n = 40
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     probs = np.full((2, len(src)), 0.9)
-    return build_csr(n, src, dst, probs, h=2, shared_probs=False)
+    return build_csr(n, src, dst, probs)
 
 
 # scenario -> (graph, sample_scale): all iterations in one request; one

@@ -48,7 +48,7 @@ def tied_memberships(g, n, h, n_base, adv=None, p=None):
 def tied_problem(seed, *, n=8, h=2, n_base=12, budget_range=(2.0, 7.0)):
     g = np.random.default_rng(seed)
     cpe = np.full(h, 1.0)
-    rr = from_memberships(n, h, cpe, tied_memberships(g, n, h, n_base))
+    rr = from_memberships(n, cpe, tied_memberships(g, n, h, n_base))
     node_cost = g.choice([0.4, 0.9], size=n)
     costs = np.tile(node_cost, (h, 1))
     budgets = g.uniform(*budget_range, size=h)
@@ -314,7 +314,7 @@ def test_ca_cs_greedy_match_eager(seed, rule):
 def ti_world(n=10, h=2):
     src = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 2])
     dst = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 5, 7])
-    csr = build_csr(n, src, dst, np.full((1, len(src)), 0.3), h=h, shared_probs=True)
+    csr = build_csr(n, src, dst, np.full((1, len(src)), 0.3))
     cpe = np.array([1.0, 1.0])
 
     def gen_block(adv, n_rr, seed):
@@ -325,7 +325,7 @@ def ti_world(n=10, h=2):
         # make a node infeasible that an older epoch's entries still hold.
         p = g.dirichlet(np.full(n, 0.5))
         mem = tied_memberships(g, n, h, (n_rr + 1) // 2, adv=adv, p=p)[:n_rr]
-        return from_memberships(n, h, onehot, mem)
+        return from_memberships(n, onehot, mem)
 
     def gen_adv(adv, blocks):
         """The blocks' collections, concatenated."""

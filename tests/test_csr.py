@@ -16,7 +16,7 @@ def test_csr_matches_edge_list(seed):
     src, dst = powerlaw_edges(n, 200, seed=seed)
     g = np.random.default_rng(seed)
     probs = g.uniform(0.05, 0.5, size=(2, len(src)))
-    csr = build_csr(n, src, dst, probs, h=2, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     for v in range(n):
         lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
         assert sorted(csr.in_indices[lo:hi].tolist()) == _ref_in_neighbors(src, dst, v)
@@ -29,7 +29,7 @@ def test_probs_aligned(seed):
     src, dst = powerlaw_edges(n, 150, seed=seed)
     g = np.random.default_rng(seed + 10)
     probs = g.uniform(0.01, 0.9, size=(3, len(src)))
-    csr = build_csr(n, src, dst, probs, h=3, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     ref = {}
     for e in range(len(src)):
         ref[(int(src[e]), int(dst[e]))] = probs[:, e]
@@ -46,7 +46,7 @@ def test_sorted_aux(seed):
     src, dst = powerlaw_edges(n, 150, seed=seed)
     g = np.random.default_rng(seed + 20)
     probs = g.uniform(0.01, 0.9, size=(1, len(src)))
-    csr = build_csr(n, src, dst, probs, h=1, shared_probs=True)
+    csr = build_csr(n, src, dst, probs)
     for v in range(n):
         lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
         if hi == lo:
@@ -83,7 +83,7 @@ def test_subsim_aux_equals_reference_loop(seed, shared):
     g = np.random.default_rng(seed)
     h = 3
     probs = g.choice([0.0, 0.1, 0.25, 1.0], size=(1 if shared else h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    csr = build_csr(n, src, dst, probs)
     assert (np.diff(csr.in_indptr) == 0).any()
     ps, ix = _ref_subsim_aux(n, csr)
     np.testing.assert_array_equal(csr.in_probs_sorted, ps)
@@ -97,6 +97,6 @@ def test_in_probs_is_c_contiguous(shared):
     n, h = 30, 3
     src, dst = powerlaw_edges(n, 120, seed=7)
     probs = np.random.default_rng(7).uniform(0.0, 0.5, size=(1 if shared else h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=shared)
+    csr = build_csr(n, src, dst, probs)
     assert csr.in_probs.flags["C_CONTIGUOUS"]
     assert np.shares_memory(csr.in_probs.ravel(), csr.in_probs)

@@ -67,7 +67,7 @@ def test_rm_with_oracle_starved_advertiser(case, h, seed):
 
 
 def test_rm_with_oracle_every_advertiser_starved():
-    rr = from_memberships(4, 2, [1.0, 1.0], [(0, {0, 1}), (1, {2}), (1, {3})])
+    rr = from_memberships(4, [1.0, 1.0], [(0, {0, 1}), (1, {2}), (1, {3})])
     prob = RMProblem(CoverageRevenueModel(rr), np.ones((2, 4)), np.zeros(2))
     res = rm_with_oracle(prob, 0.1)
     assert res.allocation == [set(), set()]
@@ -83,7 +83,7 @@ def rma_world(h):
     n = 60
     src, dst = powerlaw_edges(n, 240, seed=71)
     probs = np.random.default_rng(71).uniform(0.05, 0.3, size=(h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     cpe = np.linspace(1.0, 2.0, h)
     costs = np.random.default_rng(72).uniform(0.5, 2.0, size=(h, n))
     return csr, cpe, costs, np.linspace(12.0, 20.0, h)
@@ -102,7 +102,7 @@ def test_rma_starved_advertiser(case, h):
 
     rho = 0.1
     res = rm_without_oracle(
-        gen, costs, budgets, cpe, csr.n, rho=rho, sample_scale=0.05,
+        gen, costs, budgets, cpe, rho=rho, sample_scale=0.05,
         rr_cap=4000, seed=3,
     )
     assert_valid(res.allocation, h, csr.n)
@@ -126,7 +126,7 @@ def world():
     n, h = 60, 3
     src, dst = powerlaw_edges(n, 240, seed=61)
     probs = np.random.default_rng(61).uniform(0.05, 0.3, size=(h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     cpe = np.array([1.0, 1.5, 2.0])
     costs = np.random.default_rng(62).uniform(0.5, 2.0, size=(h, n))
     return csr, cpe, costs, np.array([12.0, 15.0, 20.0])
@@ -136,7 +136,7 @@ def run_ti(csr, cpe, costs, budgets, rule):
     h = len(budgets)
 
     def gen_adv(adv, blocks):
-        onehot = np.zeros(csr.h)
+        onehot = np.zeros_like(cpe)
         onehot[adv] = cpe[adv]
         return generate_rr_local(csr, onehot, blocks)
 

@@ -13,7 +13,6 @@ from repro.influence.rrset import from_memberships
 def _toy_rr():
     return from_memberships(
         6,
-        2,
         [1.0, 1.0],
         [
             (0, {0, 1}),

@@ -48,7 +48,7 @@ def test_stopple_node_returned_when_better():
 
     # Node 0 covers 10 disjoint RR sets, node 1 covers 2; factor = 4*1/12.
     mem = [(0, {0}) for _ in range(10)] + [(0, {1}) for _ in range(2)]
-    rr = from_memberships(4, 1, [3.0], mem)  # factor = 4·3/12 = 1
+    rr = from_memberships(4, [3.0], mem)  # factor = 4·3/12 = 1
     model = CoverageRevenueModel(rr)
     costs = np.array([[2.0, 0.1, 50.0, 50.0]])
     budgets = np.array([13.0])

@@ -73,10 +73,9 @@ def test_wc_preset_probabilities():
     """Weighted-Cascade presets: each in-slice of v carries 1/indeg(v), in a
     single row shared by every advertiser."""
     cfg = PRESETS["dblp_lite"]
-    src, dst, probs, shared = instances._graph_and_probs(cfg)
-    assert shared
+    src, dst, probs = instances._graph_and_probs(cfg)
     n = cfg["n"]
-    csr = build_csr(n, src, dst, probs, h=cfg["h"], shared_probs=shared)
+    csr = build_csr(n, src, dst, probs)
     indeg = np.bincount(dst, minlength=n)
     assert np.array_equal(np.diff(csr.in_indptr), indeg)
     assert csr.in_probs.shape == (1, len(src))

@@ -138,7 +138,7 @@ def test_brute_force_opt_is_feasible_and_maximal_locally(seed):
 
 
 def test_factor_formula():
-    rr = from_memberships(10, 2, [1.0, 3.0], [(0, {1}), (1, {2})])
+    rr = from_memberships(10, [1.0, 3.0], [(0, {1}), (1, {2})])
     model = CoverageRevenueModel(rr)
     # π̃_1({2}) = nΓ·1/|R| = 10·4/2 = 20.
     assert model.pi_of(1, {2}) == pytest.approx(20.0)

@@ -19,7 +19,7 @@ def small_world():
     src, dst = powerlaw_edges(n, 700, seed=31)
     g = np.random.default_rng(31)
     probs = g.uniform(0.02, 0.25, size=(h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     cpe = np.array([1.0, 1.5, 2.0])
     sig = singleton_spreads(generate_rr_local(csr, cpe, 30000, seed=32))
     costs = seed_costs(sig, 0.1, "linear")
@@ -30,7 +30,7 @@ def small_world():
         return generate_rr_local(csr, cpe, n_rr, seed=seed)
 
     return dict(
-        n=n, h=h, csr=csr, cpe=cpe, costs=costs, budgets=budgets,
+        h=h, csr=csr, cpe=cpe, costs=costs, budgets=budgets,
         eval_rr=eval_rr, gen=gen,
     )
 
@@ -39,7 +39,7 @@ def small_world():
 def rma_run(small_world):
     w = small_world
     return rm_without_oracle(
-        w["gen"], w["costs"], w["budgets"], w["cpe"], w["n"],
+        w["gen"], w["costs"], w["budgets"], w["cpe"],
         eps=0.1, rho=0.2, sample_scale=1.0, rr_cap=400_000, seed=5,
     )
 
@@ -80,8 +80,8 @@ def test_rma_disjoint_allocation(rma_run):
 def test_rma_deterministic(small_world):
     w = small_world
     kw = dict(eps=0.1, rho=0.2, sample_scale=1.0, rr_cap=400_000, seed=5)
-    a = rm_without_oracle(w["gen"], w["costs"], w["budgets"], w["cpe"], w["n"], **kw)
-    b = rm_without_oracle(w["gen"], w["costs"], w["budgets"], w["cpe"], w["n"], **kw)
+    a = rm_without_oracle(w["gen"], w["costs"], w["budgets"], w["cpe"], **kw)
+    b = rm_without_oracle(w["gen"], w["costs"], w["budgets"], w["cpe"], **kw)
     assert a.allocation == b.allocation
     assert a.beta == b.beta
 
@@ -90,7 +90,7 @@ def test_rma_cap_path(small_world):
     """A tiny rr_cap forces the non-β stopping paths to exercise."""
     w = small_world
     res = rm_without_oracle(
-        w["gen"], w["costs"], w["budgets"], w["cpe"], w["n"],
+        w["gen"], w["costs"], w["budgets"], w["cpe"],
         eps=0.001, rho=0.05, sample_scale=1.0, rr_cap=256, seed=6,
     )
     assert res.stopped_by in ("theta_max", "cap")
@@ -112,7 +112,7 @@ def test_rma_tiny_instance_ratio():
     src, dst = powerlaw_edges(n, 20, seed=41)
     g = np.random.default_rng(41)
     probs = g.uniform(0.2, 0.6, size=(h, len(src)))
-    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     cpe = np.array([1.0, 1.0])
     costs = np.full((h, n), 0.5)
     budgets = np.array([6.0, 6.0])
@@ -121,7 +121,7 @@ def test_rma_tiny_instance_ratio():
         return generate_rr_local(csr, cpe, n_rr, seed=seed)
 
     res = rm_without_oracle(
-        gen, costs, budgets, cpe, n, eps=0.1, rho=0.3, sample_scale=1.0,
+        gen, costs, budgets, cpe, eps=0.1, rho=0.3, sample_scale=1.0,
         rr_cap=200_000, seed=7,
     )
     big = generate_rr_local(csr, cpe, 100_000, seed=99)
@@ -153,11 +153,11 @@ def test_bias_check_enlarges_both_collections():
         calls.append(n_rr)
         assert len(calls) <= 40, "RMA does not return"
         sets = [{0} if for_r1 or k % 4 < 3 else {1} for k in range(n_rr)]
-        return from_memberships(n, 1, cpe, [(0, s) for s in sets])
+        return from_memberships(n, cpe, [(0, s) for s in sets])
 
     assert 0.75 < BIAS_THRESHOLD
     res = rm_without_oracle(
-        spy, costs, np.array([40.0]), cpe, n, eps=0.2, rho=0.5, rr_cap=cap, seed=3
+        spy, costs, np.array([40.0]), cpe, eps=0.2, rho=0.5, rr_cap=cap, seed=3
     )
     assert res.stopped_by == "beta"
     assert res.allocation == [{0}]

@@ -27,7 +27,7 @@ def small_csr():
     src, dst = powerlaw_edges(n, 400, seed=21)
     g = np.random.default_rng(21)
     probs = g.uniform(0.02, 0.35, size=(3, len(src)))
-    return build_csr(n, src, dst, probs, h=3, shared_probs=False)
+    return build_csr(n, src, dst, probs)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def wc_csr():
     src, dst = powerlaw_edges(n, 400, seed=22)
     indeg = np.bincount(dst, minlength=n)
     probs = (1.0 / indeg[dst])[None, :]
-    return build_csr(n, src, dst, probs, h=3, shared_probs=True)
+    return build_csr(n, src, dst, probs)
 
 
 CPE = np.array([1.0, 1.5, 2.0])
@@ -192,7 +192,7 @@ def test_spark_transport_edges_equal_local(spark, small_csr, kernel, n_rr):
     assert_same_collection(dist, local)
     assert dist.n_rr == len(dist.rr_adv) == n_rr
     assert dist.rr_ptr[-1] == len(dist.members) == len(dist.rr_ids)
-    assert dist.key_ptr.shape == (small_csr.h * small_csr.n + 1,)
+    assert dist.key_ptr.shape == (len(CPE) * small_csr.n + 1,)
     for name in LAYOUT:
         assert getattr(dist, name).dtype == np.int64, name
 
@@ -204,7 +204,7 @@ def test_subsim_aux_built_only_for_subsim(spark):
     n = 80
     src, dst = powerlaw_edges(n, 400, seed=23)
     probs = np.random.default_rng(23).uniform(0.02, 0.35, size=(3, len(src)))
-    csr = build_csr(n, src, dst, probs, h=3, shared_probs=False)
+    csr = build_csr(n, src, dst, probs)
     generate_rr_local(csr, CPE, 500, seed=3)
     generate_rr_collection(spark, csr, CPE, 500, seed=3)
     assert "subsim_aux" not in vars(csr)
@@ -221,7 +221,7 @@ def test_generation_is_prefix_closed(small_csr, local_rr, kernel):
     part = generate_rr_local(small_csr, CPE, N_EXACT // 2, seed=12, kernel=kernel)
     ids = np.arange(part.n_rr)
     prefix = RRCollection.from_sets(
-        full.n, full.h, CPE, full.rr_adv[ids],
+        full.n, CPE, full.rr_adv[ids],
         np.diff(full.rr_ptr[: part.n_rr + 1]), full.members_of(ids),
     )
     assert_same_collection(part, prefix)
@@ -237,7 +237,7 @@ def test_uneven_split_equals_one_call(small_csr, local_rr, monkeypatch, kernel):
     weights = CPE / CPE.sum()
     parts = [
         RRCollection.from_sets(
-            small_csr.n, small_csr.h, CPE,
+            small_csr.n, CPE,
             *rrset._rr_sets(rrset._set_keys(12, lo, hi), small_csr, weights, kernel),
         )
         for lo, hi in zip(cuts[:-1], cuts[1:])
@@ -267,7 +267,7 @@ def test_multi_block_request_equals_per_block_calls(
         for n_rr, s in BLOCKS
     ]
     want = RRCollection.from_sets(
-        small_csr.n, small_csr.h, CPE,
+        small_csr.n, CPE,
         np.concatenate([p.rr_adv for p in parts]),
         np.concatenate([np.diff(p.rr_ptr) for p in parts]),
         np.concatenate([p.members for p in parts]),
@@ -307,7 +307,7 @@ def test_counter_draws_are_uniform_and_independent():
 
 
 def test_from_memberships():
-    rr = from_memberships(5, 2, [1.0, 1.0], [(0, {0, 1}), (1, {2}), (0, {1})])
+    rr = from_memberships(5, [1.0, 1.0], [(0, {0, 1}), (1, {2}), (0, {1})])
     assert rr.n_rr == 3
     assert set(rr.rr_ids_for(1, 0).tolist()) == {0, 2}
     assert set(rr.rr_ids_for(2, 1).tolist()) == {1}
@@ -319,12 +319,47 @@ def test_isolated_node_rr_is_singleton():
     """A node with no in-edges yields an RR set of exactly itself."""
     src = np.array([0], dtype=np.int64)
     dst = np.array([1], dtype=np.int64)
-    csr = build_csr(3, src, dst, np.array([[1.0]]), h=1, shared_probs=True)
+    csr = build_csr(3, src, dst, np.array([[1.0]]))
     rr = generate_rr_local(csr, [1.0], 500, seed=13)
     ex = rr.exploded
     roots2 = ex.groupby("rr_id")["node"].apply(set)
     for nodes in roots2:
         assert nodes in ({0}, {2}, {0, 1})  # node1's RR always pulls node0 (p=1)
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_onehot_cpe_on_a_shared_row_graph(wc_csr, kernel):
+    """The collection's h is len(cpe), not the graph's row count: a one-hot
+    cpe of length h on a one-row graph indexes h advertisers, every set is
+    the one-hot advertiser's, and each reads row 0, as a one-ad cpe does."""
+    h, adv = 4, 2
+    onehot = np.zeros(h)
+    onehot[adv] = 1.5
+    rr = generate_rr_local(wc_csr, onehot, 600, seed=17, kernel=kernel)
+    one = generate_rr_local(wc_csr, [1.0], 600, seed=17, kernel=kernel)
+    assert wc_csr.in_probs.shape[0] == 1
+    assert rr.h == h
+    assert rr.key_ptr.shape == (h * wc_csr.n + 1,)
+    assert (rr.rr_adv == adv).all()
+    assert np.array_equal(rr.rr_ptr, one.rr_ptr)
+    assert np.array_equal(rr.members, one.members)
+
+
+def test_merged_sizes_are_read_off_the_arrays(small_csr):
+    merged = generate_rr_local(small_csr, CPE, 300, seed=41).merge(
+        generate_rr_local(small_csr, CPE, 200, seed=42)
+    )
+    assert merged.n_rr == len(merged.rr_adv) == 500
+    assert merged.h == len(CPE)
+    assert len(merged.rr_ptr) == merged.n_rr + 1
+
+
+def test_build_csr_rejects_probs_of_the_wrong_width():
+    src, dst = np.array([0, 1]), np.array([1, 2])
+    assert build_csr(3, src, dst, np.full(2, 0.5)).in_probs.shape == (1, 2)
+    for probs in (np.full((2, 3), 0.5), np.full(1, 0.5)):
+        with pytest.raises(ValueError, match="columns"):
+            build_csr(3, src, dst, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +380,7 @@ def test_merge_equals_indexing_concatenated_rows(small_csr, kernel):
     b = generate_rr_local(small_csr, CPE, 500, seed=32, kernel=kernel)
     ea, eb = a.exploded, b.exploded
     rebuilt = RRCollection.from_sets(
-        a.n, a.h, CPE,
+        a.n, CPE,
         np.concatenate([a.rr_adv, b.rr_adv]),
         np.concatenate([np.diff(a.rr_ptr), np.diff(b.rr_ptr)]),
         np.concatenate([a.members, b.members]),
@@ -386,7 +421,7 @@ def test_key_major_slices_are_sorted_rr_ids(small_csr):
 
 
 def test_rr_ids_for_absent_key_is_empty():
-    rr = from_memberships(6, 2, [1.0, 2.0], [(0, {0, 1}), (1, {1})])
+    rr = from_memberships(6, [1.0, 2.0], [(0, {0, 1}), (1, {1})])
     for node, adv in ((5, 0), (0, 1), (5, 1)):
         got = rr.rr_ids_for(node, adv)
         assert isinstance(got, np.ndarray) and got.size == 0
@@ -435,7 +470,7 @@ def test_membership_matches_exact_reverse_reachability(kernel, model):
     else:
         indeg = np.bincount(TINY_DST, minlength=n)
         probs, shared = (1.0 / indeg[TINY_DST])[None, :], True
-    csr = build_csr(n, TINY_SRC, TINY_DST, probs, h=h, shared_probs=shared)
+    csr = build_csr(n, TINY_SRC, TINY_DST, probs)
     exact = _exact_membership(n, probs if not shared else np.repeat(probs, h, 0))
 
     rr = generate_rr_local(csr, [1.0, 1.0], 60_000, seed=14, kernel=kernel)

@@ -17,7 +17,7 @@ def test_seekub_upper_bounds_opt(seed, h):
     opt, _ = brute_force_opt(prob)
     tau = 0.1
     res = rm_with_oracle(prob, tau)
-    z = seek_ub(res, approx_ratio(h, tau), h)
+    z = seek_ub(res, approx_ratio(h, tau))
     assert z >= opt - 1e-9
 
 
@@ -27,7 +27,7 @@ def test_seekub_no_worse_than_trivial(seed):
     tau = 0.1
     lam = approx_ratio(2, tau)
     res = rm_with_oracle(prob, tau)
-    z = seek_ub(res, lam, 2)
+    z = seek_ub(res, lam)
     assert z <= res.pi_star / lam + 1e-9
 
 
@@ -40,7 +40,7 @@ def test_seekub_often_tighter_than_trivial():
         tau = 0.1
         lam = approx_ratio(2, tau)
         res = rm_with_oracle(prob, tau)
-        z = seek_ub(res, lam, 2)
+        z = seek_ub(res, lam)
         if z < res.pi_star / lam - 1e-9:
             tighter += 1
     assert tighter >= 1

@@ -21,8 +21,6 @@ def _csr_for(n, src, dst, probs):
         np.asarray(src, dtype=np.int64),
         np.asarray(dst, dtype=np.int64),
         probs[None, :],
-        h=1,
-        shared_probs=True,
     )
 
 
