@@ -36,6 +36,7 @@ class TIResult:
     allocation: list
     n_rr_total: int
     regenerations: int
+    index_bytes: int = 0  # each advertiser's largest θ sample, summed
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -57,6 +58,7 @@ class _AdvSample:
         self.epoch = 0
         self.spent = 0
         self.regens = 0
+        self.peak_bytes = 0  # the largest θ sample's RRCollection.nbytes
         self.rr = self._sample()
 
     def _theta(self) -> int:
@@ -79,7 +81,9 @@ class _AdvSample:
     def _sample(self) -> RRCollection:
         theta = self._theta()
         self.spent += theta
-        return self.gen([(theta, self.seed + 997 * self.epoch + 1)])
+        rr = self.gen([(theta, self.seed + 997 * self.epoch + 1)])
+        self.peak_bytes = max(self.peak_bytes, rr.nbytes)
+        return rr
 
     def maybe_double(self, n_seeds: int) -> bool:
         """Double the latent seed size and regenerate ``rr`` when |S_i|
@@ -188,6 +192,7 @@ def ti_rm(
         allocation=alloc,
         n_rr_total=int(sum(s.spent for s in samples)),
         regenerations=int(sum(s.regens for s in samples)),
+        index_bytes=sum(s.peak_bytes for s in samples),
         diagnostics={
             "latent_sizes": [s.s_latent for s in samples],
             "collection_sizes": [s.rr.n_rr for s in samples],

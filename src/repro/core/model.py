@@ -88,7 +88,7 @@ class _CoverageState(AllocState):
         self.factor = model.factor
         rr = model.rr
         self.covered = np.zeros(rr.n_rr, dtype=bool)
-        self.uncovered = rr.singleton_cover_counts().copy()  # (h, n)
+        self.uncovered = rr.singleton_cover_counts().astype(np.int64)  # (h, n)
         self.cov_count = [0] * model.h
         if allocation is not None:
             for i, seeds in enumerate(allocation):
@@ -106,6 +106,7 @@ class _CoverageState(AllocState):
 
     def _cover(self, i: int, ids: np.ndarray) -> None:
         """Cover advertiser i's sets ``ids`` (each id at most once)."""
+        ids = ids.astype(np.intp, copy=False)  # one cast for every gather below
         newly = ids[~self.covered[ids]]
         if len(newly) == 0:
             return

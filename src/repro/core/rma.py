@@ -55,6 +55,7 @@ class RMAResult:
     n_rr_r2: int
     theta_max: float
     stopped_by: str  # "beta" | "theta_max" | "cap" | "no_budget"
+    index_bytes: int = 0  # R₁ + R₂ at return (RRCollection.nbytes)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -146,6 +147,9 @@ def rm_without_oracle(
         elif rr_cap is not None and r1.n_rr * 2 > rr_cap:
             stopped = "cap"
         else:
+            # Drop this round's references to R₁ and R₂ so that each old
+            # collection is freed as soon as its merge returns.
+            del model1, prob1, res, model2
             r1 = r1.merge(rr_gen(r1.n_rr, seed * 1_000_003 + 100 + 2 * rounds))
             r2 = r2.merge(rr_gen(r2.n_rr, seed * 1_000_003 + 101 + 2 * rounds))
             continue
@@ -159,6 +163,7 @@ def rm_without_oracle(
             and r1.n_rr * BIAS_FACTOR <= max(theta_max, r1.n_rr)
         ):
             extra = r1.n_rr * (BIAS_FACTOR - 1)
+            del model1, prob1, res, model2
             r1 = r1.merge(rr_gen(extra, seed * 1_000_003 + 500 + 2 * rounds))
             r2 = r2.merge(rr_gen(extra, seed * 1_000_003 + 501 + 2 * rounds))
             continue
@@ -172,6 +177,7 @@ def rm_without_oracle(
             n_rr_r2=r2.n_rr,
             theta_max=theta_max,
             stopped_by=stopped,
+            index_bytes=r1.nbytes + r2.nbytes,
             diagnostics={
                 "lambda": lam,
                 "z": z,

@@ -2,8 +2,9 @@
 
 Each run returns a ``RunRecord`` with the quantities the paper reports:
 wall time (Tables 3/5/6), revenue (Figs. 1/4/5/7), total seeding cost
-(Figs. 2/7), seed count (Fig. 3), RR sets generated (the Fig. 4 memory
-proxy), budget-usage rate and rate of return (Fig. 6).
+(Figs. 2/7), seed count (Fig. 3), RR sets generated and RR-index bytes
+(``params["index_bytes"]``, Fig. 4's memory), budget-usage rate and rate
+of return (Fig. 6).
 
 Fairness rule from §5.1: the budget input to TI-CARM/TI-CSRM is (1+ϱ)×
 the budget input to RMA, because RMA is a bicriteria algorithm that may
@@ -104,6 +105,7 @@ def run_rma(
         params=dict(
             eps=eps, tau=tau, rho=rho, sample_scale=sample_scale,
             rounds=res.rounds, beta=res.beta, stopped_by=res.stopped_by,
+            index_bytes=res.index_bytes,
         ),
         allocation=res.allocation,
         **m,
@@ -155,7 +157,7 @@ def run_ti(
         n_rr_total=res.n_rr_total,
         params=dict(
             eps=eps, rho=rho, sample_scale=sample_scale,
-            regenerations=res.regenerations,
+            regenerations=res.regenerations, index_bytes=res.index_bytes,
         ),
         allocation=res.allocation,
         **m,

@@ -127,7 +127,9 @@ def _run_all(
 
 
 def _pivot(records: list[RunRecord], value: str) -> pd.DataFrame:
-    pdf = pd.DataFrame([vars(r) for r in records])
+    """(dataset, algo) × α grid of ``value``, a ``RunRecord`` field or a
+    key of its ``params`` (e.g. ``index_bytes``)."""
+    pdf = pd.DataFrame([{**vars(r), **r.params} for r in records])
     return pdf.pivot_table(
         index=["dataset", "algo"], columns="alpha", values=value
     ).reset_index()

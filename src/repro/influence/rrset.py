@@ -19,10 +19,13 @@ simulates exactly the sets it returns.
 Generation is the dominant cost of every RR-set algorithm (Appendix C), so
 it is the distributed piece: a task DataFrame (one row per id range of
 ``_CHUNK`` sets) flows through ``mapInArrow`` with the CSR graph broadcast
-to executors, and each set comes back as one Arrow row ``(adv, nodes)``.
+to executors, and each set comes back as one Arrow row ``(adv, nodes)``
+of schema ``adv int, nodes array<int>`` (int32 values and list offsets).
 The driver-local path simulates the same ranges, so both return identical
 collections. Either way a generated collection only ever takes the
-RR-major form: per-set advertisers and lengths, and the members set by set.
+RR-major form: per-set advertisers and lengths, and the members set by set,
+already in the collection's dtypes (int32 members, the smallest unsigned
+advertiser type); ``RRCollection`` bounds a collection to < 2³¹ members.
 
 The sets of a call, one id range or several ``(n_rr, seed)`` blocks side by
 side, run as level-synchronous reverse BFSs over up to ``_CHUNK`` set keys
@@ -196,7 +199,7 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
     return np.concatenate(out_s), np.concatenate(out_v)
 
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY = np.empty(0, dtype=np.int32)
 
 _KERNELS = {
     "standard": _expand_standard,
@@ -216,7 +219,8 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
 
     The frontier is a pair of arrays (set slot, node), each level is one
     kernel call over the whole frontier, and new members are deduplicated
-    against the sorted visited codes ``slot * n + node``.
+    against the sorted visited codes ``slot * n + node``. Advertisers come
+    back in the collection's ``rr_adv`` dtype, lengths and members as int32.
     """
     expand = _KERNELS[kernel]
     n, n_sets = g.n, len(keys)
@@ -240,8 +244,9 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
         level_s.append(fs)
         level_v.append(fv)
     s, v = np.concatenate(level_s), np.concatenate(level_v)
-    lengths = np.bincount(s, minlength=n_sets)
-    return advs, lengths, v[_stable_order(s, n_sets)]
+    lengths = np.bincount(s, minlength=n_sets).astype(np.int32)
+    members = v[_stable_order(s, n_sets)].astype(np.int32)
+    return advs.astype(_adv_dtype(len(cdf))), lengths, members
 
 
 def _rr_sets(keys: np.ndarray, g: CSRGraph, cpe_w, kernel: str):
@@ -269,10 +274,31 @@ def _rr_sets(keys: np.ndarray, g: CSRGraph, cpe_w, kernel: str):
 # ---------------------------------------------------------------------------
 
 
+# Every offset of a collection is at most its member count, and every set
+# holds its root, so int32 offsets and set ids hold any collection of fewer
+# than 2³¹ members.
+_MAX_MEMBERS = 2**31 - 1
+
+
+def _check_members(total: int) -> None:
+    if total > _MAX_MEMBERS:
+        raise OverflowError(
+            f"an RR collection of {total} members exceeds the int32 index "
+            f"bound of {_MAX_MEMBERS}"
+        )
+
+
 def _ptr(counts: np.ndarray) -> np.ndarray:
-    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    """int32 offsets of consecutive slices of ``counts`` entries each."""
+    _check_members(int(counts.sum()))
+    ptr = np.zeros(len(counts) + 1, dtype=np.int32)
     np.cumsum(counts, out=ptr[1:])
     return ptr
+
+
+def _adv_dtype(h: int) -> np.dtype:
+    """The smallest unsigned dtype holding advertiser ids 0..h-1."""
+    return np.min_scalar_type(max(h - 1, 0))
 
 
 def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -294,27 +320,39 @@ class RRCollection:
       are ``rr_ids[key_ptr[k]:key_ptr[k+1]]`` with ``k = adv * n + node``,
       in increasing order.
 
-    h is ``len(cpe)`` and |R| is ``len(rr_adv)``, read off the arrays.
+    ``members``, ``rr_ids`` and both offset arrays are int32, which bounds a
+    collection to fewer than 2³¹ members (checked; every set holds its root,
+    so ids and offsets fit too); ``rr_adv`` is the smallest unsigned dtype
+    that holds h. h is ``len(cpe)`` and |R| is ``len(rr_adv)``, read off the
+    arrays.
     """
 
     n: int
-    cpe: np.ndarray  # (h,)
-    rr_adv: np.ndarray  # (n_rr,)
-    rr_ptr: np.ndarray  # (n_rr + 1,)
-    members: np.ndarray  # node ids, RR-major
-    key_ptr: np.ndarray  # (h * n + 1,)
-    rr_ids: np.ndarray  # RR ids, key-major
+    cpe: np.ndarray  # (h,) float64
+    rr_adv: np.ndarray  # (n_rr,) uint8 up to h = 256
+    rr_ptr: np.ndarray  # (n_rr + 1,) int32
+    members: np.ndarray  # node ids, RR-major, int32
+    key_ptr: np.ndarray  # (h * n + 1,) int32
+    rr_ids: np.ndarray  # RR ids, key-major, int32
 
     @classmethod
     def from_sets(cls, n, cpe, rr_adv, rr_len, members):
         """Index RR sets given set by set: set r has advertiser ``rr_adv[r]``
-        and the next ``rr_len[r]`` entries of ``members``."""
+        and the next ``rr_len[r]`` entries of ``members``. Inputs of any
+        integer dtype are stored in the collection's dtypes."""
         cpe = np.asarray(cpe, dtype=np.float64)
-        rr = np.repeat(np.arange(len(rr_adv), dtype=np.int64), rr_len)
-        key = rr_adv[rr] * n + members
-        key_ptr = _ptr(np.bincount(key, minlength=len(cpe) * n))
-        rr_ids = rr[_stable_order(key, len(cpe) * n)]
-        return cls(n, cpe, rr_adv, _ptr(rr_len), members, key_ptr, rr_ids)
+        h = len(cpe)
+        rr_ptr = _ptr(rr_len)
+        rr_adv = rr_adv.astype(_adv_dtype(h), copy=False)
+        members = members.astype(np.int32, copy=False)
+        rr = np.repeat(np.arange(len(rr_adv), dtype=np.int32), rr_len)
+        # intp before the multiply: a uint8 advertiser times n wraps in uint16.
+        key = rr_adv[rr].astype(np.intp)
+        key *= n
+        key += members
+        key_ptr = _ptr(np.bincount(key, minlength=h * n))
+        rr_ids = rr[_stable_order(key, h * n)]
+        return cls(n, cpe, rr_adv, rr_ptr, members, key_ptr, rr_ids)
 
     @property
     def h(self) -> int:
@@ -337,17 +375,26 @@ class RRCollection:
         """The RR id of each entry of ``members``."""
         return np.repeat(np.arange(self.n_rr, dtype=np.int64), np.diff(self.rr_ptr))
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the collection's arrays (the index of Fig. 4)."""
+        arrays = (self.cpe, self.rr_adv, self.rr_ptr, self.members, self.key_ptr, self.rr_ids)
+        return sum(a.nbytes for a in arrays)
+
     def members_of(self, ids: np.ndarray) -> np.ndarray:
         """The members of the RR sets ``ids``, concatenated."""
+        ids = ids.astype(np.intp, copy=False)  # one cast for both offset gathers
         starts = self.rr_ptr[ids]
         return self.members[_slice_positions(starts, self.rr_ptr[ids + 1] - starts)]
 
     @cached_property
     def exploded(self) -> pd.DataFrame:
-        """(rr_id, adv, node) rows in RR-major order, built on first use."""
+        """(rr_id, adv, node) int64 rows in RR-major order, built on first
+        use (int64, as Spark's Arrow conversion takes no unsigned column)."""
         rr = self.rr_of_members()
         return pd.DataFrame(
-            {"rr_id": rr, "adv": self.rr_adv[rr], "node": self.members}
+            {"rr_id": rr, "adv": self.rr_adv[rr].astype(np.int64),
+             "node": self.members.astype(np.int64)}
         )
 
     def rr_ids_for(self, node: int, adv: int) -> np.ndarray:
@@ -376,15 +423,16 @@ class RRCollection:
         key's slice is ours followed by theirs: an O(N) interleave.
         """
         assert self.n == other.n and self.h == other.h
+        _check_members(len(self.members) + len(other.members))
         a_cnt, b_cnt = np.diff(self.key_ptr), np.diff(other.key_ptr)
         key_ptr = self.key_ptr + other.key_ptr
-        rr_ids = np.empty(len(self.rr_ids) + len(other.rr_ids), dtype=np.int64)
-        rr_ids[
-            np.arange(len(self.rr_ids)) + np.repeat(other.key_ptr[:-1], a_cnt)
-        ] = self.rr_ids
-        rr_ids[
-            np.arange(len(other.rr_ids)) + np.repeat(self.key_ptr[1:], b_cnt)
-        ] = other.rr_ids + self.n_rr
+        rr_ids = np.empty(len(self.rr_ids) + len(other.rr_ids), dtype=np.int32)
+        at = np.repeat(other.key_ptr[:-1], a_cnt)
+        at += np.arange(len(self.rr_ids), dtype=np.int32)
+        rr_ids[at] = self.rr_ids
+        at = np.repeat(self.key_ptr[1:], b_cnt)
+        at += np.arange(len(other.rr_ids), dtype=np.int32)
+        rr_ids[at] = other.rr_ids + np.int32(self.n_rr)
         return RRCollection(
             self.n,
             self.cpe,
@@ -478,13 +526,14 @@ def generate_rr_collection(
                 keys = _set_keys(seed, lo, min(lo + chunk, n_rr))
                 adv, length, members = _rr_sets(keys, g, weights, kernel)
                 nodes = pa.ListArray.from_arrays(_ptr(length), members)
+                adv = adv.astype(np.int32)  # Spark has no unsigned type
                 yield pa.RecordBatch.from_arrays([adv, nodes], names=["adv", "nodes"])
 
     tasks = spark.range(0, n_chunks, numPartitions=num_partitions)
     # ``toArrow`` collects Arrow batches whatever the session's
     # ``spark.sql.execution.arrow.pyspark.enabled`` (``toPandas`` without it
     # falls back to pickled Rows).
-    table = tasks.mapInArrow(gen, schema="adv long, nodes array<long>").toArrow()
+    table = tasks.mapInArrow(gen, schema="adv int, nodes array<int>").toArrow()
     bc.unpersist()
     # ``flatten`` (unlike ``values``) honours a sliced batch's offset; the
     # leading empty array types the result when no batch comes back.

@@ -29,6 +29,7 @@ def test_rma_record_fields(rma_record):
     assert r.n_seeds == sum(len(s) for s in r.allocation)
     assert 0 < r.rate_of_return <= 1
     assert r.seed_cost >= 0
+    assert r.params["index_bytes"] > 0
 
 
 def test_rma_bicriteria_on_eval(world, rma_record):
@@ -52,6 +53,7 @@ def test_ti_record_fields(world, rule):
     )
     assert r.algo == ("TI-CARM" if rule == "gain" else "TI-CSRM")
     assert r.revenue >= 0 and r.wall_s > 0
+    assert r.params["index_bytes"] > 0
     # Disjoint allocation across advertisers.
     seen = set()
     for s in r.allocation:

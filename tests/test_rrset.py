@@ -131,6 +131,14 @@ def test_subsim_matches_standard_distribution(request, fixture):
 LAYOUT = ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids")
 
 
+def assert_layout_dtypes(rr):
+    """int32 ids and offsets; advertisers in the smallest unsigned dtype
+    holding h (uint8 here)."""
+    want = dict(rr_adv=np.uint8, rr_ptr=np.int32, members=np.int32,
+                key_ptr=np.int32, rr_ids=np.int32)
+    assert {name: getattr(rr, name).dtype for name in LAYOUT} == want
+
+
 def assert_same_collection(a, b):
     assert a.n_rr == b.n_rr
     for name in LAYOUT:
@@ -193,8 +201,8 @@ def test_spark_transport_edges_equal_local(spark, small_csr, kernel, n_rr):
     assert dist.n_rr == len(dist.rr_adv) == n_rr
     assert dist.rr_ptr[-1] == len(dist.members) == len(dist.rr_ids)
     assert dist.key_ptr.shape == (len(CPE) * small_csr.n + 1,)
-    for name in LAYOUT:
-        assert getattr(dist, name).dtype == np.int64, name
+    for rr in (dist, local, local.merge(dist)):
+        assert_layout_dtypes(rr)
 
 
 def test_subsim_aux_built_only_for_subsim(spark):
@@ -313,6 +321,50 @@ def test_from_memberships():
     assert set(rr.rr_ids_for(2, 1).tolist()) == {1}
     assert rr.rr_ids_for(2, 0).size == 0
     assert rr.factor == pytest.approx(5 * 2.0 / 3)
+
+
+def test_small_advertiser_dtype_keys_do_not_wrap():
+    """At h = 10 ``rr_adv`` is uint8, and h·n = 400 000 > 2¹⁶: the key
+    adv·n + node is formed in intp, not in the uint16 that a uint8 times
+    n gives under value-based casting, so both key-major arrays equal an
+    int64 reference."""
+    h, n = 10, 40_000
+    g = np.random.default_rng(3)
+    memberships = [
+        (int(g.integers(h)), set(g.choice(n, int(g.integers(1, 4)), replace=False).tolist()))
+        for _ in range(2000)
+    ] + [(h - 1, {n - 1})]
+    rr = from_memberships(n, np.ones(h), memberships)
+    assert rr.rr_adv.dtype == np.uint8
+    rr_of = rr.rr_of_members()
+    key = rr.rr_adv.astype(np.int64)[rr_of] * n + rr.members.astype(np.int64)
+    key_ptr = np.zeros(h * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=h * n), out=key_ptr[1:])
+    np.testing.assert_array_equal(rr.key_ptr, key_ptr)
+    np.testing.assert_array_equal(rr.rr_ids, rr_of[np.argsort(key, kind="stable")])
+
+
+def test_member_bound_is_checked(monkeypatch):
+    """Offsets are int32: 2³¹ - 1 members fit and 2³¹ raise, checked from
+    the counts (nothing of that size is allocated); indexing and merging
+    check the same bound."""
+    assert rrset._ptr(np.array([2**30, 2**30 - 1]))[-1] == 2**31 - 1
+    with pytest.raises(OverflowError, match="int32"):
+        rrset._ptr(np.array([2**30, 2**30]))
+    monkeypatch.setattr(rrset, "_MAX_MEMBERS", 5)
+    three = from_memberships(4, [1.0], [(0, {0, 1, 2})])
+    with pytest.raises(OverflowError, match="int32"):
+        three.merge(three)
+    with pytest.raises(OverflowError, match="int32"):
+        from_memberships(4, [1.0], [(0, {0, 1, 2}), (0, {1, 2, 3})])
+
+
+def test_nbytes_counts_every_array():
+    """int32 members, ids and offsets, one byte per set's advertiser."""
+    h, n = 3, 10
+    rr = from_memberships(n, [1.0, 1.0, 2.0], [(0, {0, 1}), (2, {4}), (1, {1, 5, 9})])
+    n_rr, members = 3, 6
+    assert rr.nbytes == 8 * h + n_rr + 4 * (n_rr + 1) + 4 * members + 4 * (h * n + 1) + 4 * members
 
 
 def test_isolated_node_rr_is_singleton():

@@ -1,0 +1,114 @@
+"""Identity pins: the RR collections of three presets, value for value.
+
+Each array of each collection is hashed as int64 (sha256 of
+``astype(np.int64).tobytes()``), so a change of storage dtype leaves the
+hash alone and a change of any value moves it. The pins were taken with an
+all-int64 layout; a collection built today must hash the same.
+
+Per preset: one uniform-sampling collection (RMA's request, also made on
+Spark), a merge of two (a doubling round), and a one-hot block list (a TI
+request with KptEstimation-sized blocks).
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.experiments.instances import PRESETS, _graph_and_probs
+from repro.graphs.csr import build_csr
+from repro.influence.rrset import generate_rr_collection, generate_rr_local
+
+LAYOUT = ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids")
+N_UNIFORM = 20_000
+SEED = 2024
+
+
+def _preset(name):
+    cfg = PRESETS[name]
+    src, dst, probs = _graph_and_probs(cfg)
+    csr = build_csr(cfg["n"], src, dst, probs)
+    cpe = np.asarray(cfg["cpes"], dtype=np.float64)
+    return csr, cpe
+
+
+def _local_collections(csr, cpe):
+    onehot = np.zeros(len(cpe))
+    onehot[1] = cpe[1]
+    return {
+        "uniform": generate_rr_local(csr, cpe, N_UNIFORM, seed=SEED),
+        "merged": generate_rr_local(csr, cpe, 3000, seed=1).merge(
+            generate_rr_local(csr, cpe, 5000, seed=2)
+        ),
+        "onehot": generate_rr_local(csr, onehot, [(37, 5), (500, 6), (2000, 7)]),
+    }
+
+
+def _digest(rr) -> tuple:
+    """Short sha256 of each layout array as int64, in ``LAYOUT`` order."""
+    return tuple(
+        hashlib.sha256(getattr(rr, name).astype(np.int64).tobytes()).hexdigest()[:16]
+        for name in LAYOUT
+    )
+
+
+PINS = {
+    "tiny": {
+        "uniform": (
+            "10840e27c2a0d499", "d5b6b52dceabf96a", "74db7b0d71119914",
+            "d8ef38a289278ffe", "cc75c008ab8096fa",
+        ),
+        "merged": (
+            "2c4b5a463a8abc93", "c488b0cdd05ab40f", "231feab02935c96b",
+            "4e6c19f38e55012b", "0a3a8c9ba02cc83e",
+        ),
+        "onehot": (
+            "cee0fd6036ab5bce", "a963ff91f5ea90e0", "10bd3a68aad6ccf3",
+            "3a7f95753cd2341d", "6b067f00bd5f4772",
+        ),
+    },
+    "lastfm_lite": {
+        "uniform": (
+            "99ba49841242330f", "1c5814c2bae94a4a", "e2efb00b38559f3f",
+            "b86c23954b264bd4", "82e3c4145bc6132e",
+        ),
+        "merged": (
+            "9a462e59930ed632", "c64e90e3c659b5ad", "1171cacabd5cd439",
+            "f94469fee1dd2b0f", "6e6064456e08efcf",
+        ),
+        "onehot": (
+            "cee0fd6036ab5bce", "39d8e40d69e7ff68", "4d25e5d1c92b26ef",
+            "6f13c2be5f84f67f", "d24355448d2f16e4",
+        ),
+    },
+    "flixster_lite": {
+        "uniform": (
+            "99ba49841242330f", "8c2e157fc846a023", "18cebd00be6d1b06",
+            "67b7e5bcc68c1906", "1816ccca047d686b",
+        ),
+        "merged": (
+            "9a462e59930ed632", "374582a0ffa00d35", "9523e642f412b35c",
+            "1cecf4660b314039", "622065216bd701c8",
+        ),
+        "onehot": (
+            "cee0fd6036ab5bce", "e0fa72f565ac0bbb", "ff6a53bd9b1fdda0",
+            "688a734c9fec1139", "01aef2d3c1e84573",
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PINS))
+def preset(request):
+    return request.param, *_preset(request.param)
+
+
+def test_local_collections_equal_the_int64_layout(preset):
+    name, csr, cpe = preset
+    got = {kind: _digest(rr) for kind, rr in _local_collections(csr, cpe).items()}
+    assert got == {kind: PINS[name][kind] for kind in got}
+
+
+def test_spark_collection_equals_the_int64_layout(spark, preset):
+    name, csr, cpe = preset
+    rr = generate_rr_collection(spark, csr, cpe, N_UNIFORM, seed=SEED)
+    assert _digest(rr) == PINS[name]["uniform"]

@@ -42,6 +42,8 @@ def test_table3_pivot_shape(spark):
     assert set(pivot["algo"]) == {"RMA", "TI-CARM", "TI-CSRM"}
     assert 0.1 in pivot.columns and 0.3 in pivot.columns
     assert len(records) == 6
+    index_bytes = tables._pivot(records, "index_bytes")
+    assert (index_bytes[[0.1, 0.3]] > 0).all().all()
 
 
 def test_table5_rows(spark):
