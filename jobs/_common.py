@@ -17,12 +17,7 @@ def get_spark(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
-    spark = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    spark = SparkSession.builder.appName(app).getOrCreate()
     spark.sparkContext.setLogLevel("ERROR")
     return spark
 

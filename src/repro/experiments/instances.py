@@ -8,7 +8,7 @@ budget-to-reachable-revenue ratios are preserved.
 Building an instance runs edge generation, TIC/WC probability mixing and
 CSR assembly on the driver (numpy), then reads the mean RR-set size off one
 ``_CHUNK`` of sets made on the driver, then estimates singleton spreads from
-a dedicated RR collection (on the driver, or Spark mapInArrow for large
+a dedicated RR collection (on the driver, or a Spark RDD fan-out for large
 ones), then attaches the seed-incentive costs. Only that RR collection can
 start a Spark job. The mean size (``Instance.width``) routes every later RR
 request of the instance to the driver or to Spark.
@@ -32,17 +32,20 @@ from repro.influence.rrset import (
     generate_rr_local,
 )
 
-# Above this many expected members (sets × mean width) Spark's fan-out beats
-# the driver: its fixed cost (job launch, broadcast, Arrow collect) is
-# ~0.4 s, its per-member cost about half the driver kernel's. The crossover
-# tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`, warm
-# session, best of 2, seconds local / Spark:
+# A single block of more expected members (sets × mean width) than this goes
+# to Spark. The fan-out's fixed cost (job launch, broadcast, collect) is
+# ~0.5 s, its per-member cost about a third of the driver kernel's, so the
+# crossover tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`,
+# warm session, best of 2, seconds local / Spark (RDD fan-out, raw int32
+# buffers):
 #
-#   graph (mean width)                20K sets     100K         400K         1M
-#   flixster_lite (4.6)               0.04 / 0.44  0.24 / 0.66  0.87 / 1.14  2.63 / 2.03
-#   WC, livejournal-shaped (15.5)     0.21 / 0.59  1.07 / 1.41  4.61 / 3.44  —
+#   graph (mean width)             20K sets     100K         400K         1M            1.43M
+#   flixster_lite (4.6)            0.07 / 0.61  0.31 / 0.80  1.36 / 1.29  2.97 / 1.78   4.52 / 2.30
+#   WC, livejournal-shaped (15.5)  0.30 / 0.91  1.62 / 1.89  6.18 / 4.31  19.06 / 9.34  —
 #
-# i.e. parity at ~2.7M members on flixster and ~2.6M on the WC graph.
+# i.e. parity at ~1.7M members on flixster and ~2.1M on the WC graph, below
+# the split. It stays at 2.5M: moving it moves which of RMA's doublings go to
+# Spark, a change of its own (ROADMAP item 7).
 _SPARK_MIN_MEMBERS = 2_500_000
 
 

@@ -18,8 +18,12 @@ fraction of positive edge-ad probabilities (~95% Flixster, ~77% LastFM).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import pandas as pd
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 
 def tic_topic_entries(
@@ -39,6 +43,8 @@ def tic_topic_entries(
     active = g.random((m, L)) < density
     edge_id, topic = np.nonzero(active)
     p_hat = g.uniform(0.01, p_max, size=len(edge_id))
+    import pandas as pd  # here, so a Spark worker importing repro.graphs skips it
+
     return pd.DataFrame(
         {"edge_id": edge_id.astype(np.int64), "topic": topic.astype(np.int64), "p_hat": p_hat}
     )

@@ -1,5 +1,9 @@
 """Tests for RR-set generation: kernels, uniform sampling, indexing, Spark."""
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -133,8 +137,9 @@ LAYOUT = ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids")
 
 def assert_layout_dtypes(rr):
     """int32 ids and offsets; advertisers in the smallest unsigned dtype
-    holding h (uint8 here)."""
-    want = dict(rr_adv=np.uint8, rr_ptr=np.int32, members=np.int32,
+    holding h (uint8 up to h = 256, uint16 above)."""
+    adv = np.uint8 if rr.h <= 256 else np.uint16
+    want = dict(rr_adv=adv, rr_ptr=np.int32, members=np.int32,
                 key_ptr=np.int32, rr_ids=np.int32)
     assert {name: getattr(rr, name).dtype for name in LAYOUT} == want
 
@@ -159,7 +164,8 @@ def local_rr(small_csr):
 BATCH = "spark.sql.execution.arrow.maxRecordsPerBatch"
 ARROW = "spark.sql.execution.arrow.pyspark.enabled"
 # (num_partitions, session settings): every Arrow batch size at every
-# partition count, and a session with the pandas Arrow flag off.
+# partition count, and a session with the pandas Arrow flag off. The
+# fan-out runs no Spark SQL query, so none of them may change the sample.
 SESSIONS = [
     pytest.param(p, {BATCH: str(b)}, id=f"{p}-{b}")
     for p in (1, 3, 8)
@@ -193,8 +199,8 @@ def test_spark_generation_equals_local(
     "n_rr", [0, rrset._CHUNK, rrset._CHUNK + 1], ids=["empty", "chunk", "chunk+1"]
 )
 def test_spark_transport_edges_equal_local(spark, small_csr, kernel, n_rr):
-    """No set (no Arrow batch comes back) and one set either side of a task
-    boundary: the per-set rows rebuild the driver's collection."""
+    """No set (no chunk runs) and one set either side of a chunk boundary:
+    the per-chunk buffers rebuild the driver's collection."""
     dist = generate_rr_collection(spark, small_csr, CPE, n_rr, seed=15, kernel=kernel)
     local = generate_rr_local(small_csr, CPE, n_rr, seed=15, kernel=kernel)
     assert_same_collection(dist, local)
@@ -203,6 +209,44 @@ def test_spark_transport_edges_equal_local(spark, small_csr, kernel, n_rr):
     assert dist.key_ptr.shape == (len(CPE) * small_csr.n + 1,)
     for rr in (dist, local, local.merge(dist)):
         assert_layout_dtypes(rr)
+
+
+def test_spark_decodes_wide_advertiser_ids(spark, wc_csr):
+    """At h = 300 advertiser ids travel as uint16 bytes: on a one-row graph
+    with a length-300 cpe, the collected buffers decode to the driver's
+    collection, ids above 255 included."""
+    cpe = np.linspace(1.0, 2.0, 300)
+    n_rr = rrset._CHUNK + 1
+    dist = generate_rr_collection(spark, wc_csr, cpe, n_rr, seed=19, num_partitions=2)
+    local = generate_rr_local(wc_csr, cpe, n_rr, seed=19)
+    assert wc_csr.in_probs.shape[0] == 1
+    assert_same_collection(dist, local)
+    assert dist.rr_adv.max() > 255
+    assert_layout_dtypes(dist)
+
+
+def test_spark_generation_runs_no_sql_query(spark, small_csr, local_rr):
+    """The fan-out is a plain RDD job: a call adds no Spark SQL execution
+    (a DataFrame collect adds one, checked first so the count is live), and
+    still returns the driver's collection."""
+    store = spark._jsparkSession.sharedState().statusStore()
+    before = store.executionsCount()
+    spark.range(1).toArrow()
+    assert store.executionsCount() == before + 1
+    dist = generate_rr_collection(spark, small_csr, CPE, N_EXACT, seed=12)
+    assert store.executionsCount() == before + 1
+    assert_same_collection(dist, local_rr["standard"])
+
+
+def test_worker_imports_skip_pandas():
+    """A Spark worker that unpickles the generation closure imports
+    ``repro.influence.rrset`` (and so ``repro.graphs``) on top of
+    ``pyspark.worker``; neither pulls in pandas."""
+    code = "import sys, pyspark.worker, repro.influence.rrset; print('pandas' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(rrset.__file__).parents[2]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_subsim_aux_built_only_for_subsim(spark):
