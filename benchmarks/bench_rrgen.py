@@ -2,13 +2,19 @@
 
 The kernel-level comparison behind Table 6: SUBSIM's subset sampling does
 O(E[#selected]) work per node instead of O(indeg), which shows most clearly
-on the Weighted-Cascade graphs with heavy-tailed in-degrees. The TI-shaped
-case replays the call mix of a TI-CARM/TI-CSRM run on ``lastfm_lite``:
-many small per-advertiser generations.
+on the Weighted-Cascade graphs with heavy-tailed in-degrees. Two cases
+replay the generation calls of one harness cell: the TI-shaped case the
+call mix of a TI-CARM/TI-CSRM run on ``lastfm_lite`` (many small
+per-advertiser generations), the RMA-shaped case the R₁/R₂ calls of an RMA
+run on the ``flixster_lite`` preset itself (few large uniform-sampling
+generations).
+
+    pytest benchmarks/bench_rrgen.py --benchmark-only -k calls
 """
 import numpy as np
 import pytest
 
+from repro.experiments.instances import PRESETS, _graph_and_probs
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries
@@ -88,3 +94,34 @@ def test_rrgen_ti_calls(benchmark, lastfm_tic_graph, kernel):
 
     sets = benchmark.pedantic(ti_calls, rounds=2, iterations=1)
     assert sets == sum(map(sum, requests))
+
+
+@pytest.fixture(scope="module")
+def flixster_lite():
+    cfg = PRESETS["flixster_lite"]
+    src, dst, probs = _graph_and_probs(cfg)
+    return build_csr(cfg["n"], src, dst, probs), np.asarray(cfg["cpes"])
+
+
+# The generation calls of one `rma_flixster` cell (RMA on flixster_lite at
+# its EXP scale, harness seed 7), as (sets, seed): R₁ and R₂ of each of its
+# three rounds, every call one uniform-sampling block on the driver.
+_RMA_CALLS = [
+    (14_268, 7_000_022), (14_268, 7_000_023),
+    (42_804, 7_000_523), (42_804, 7_000_524),
+    (171_216, 7_000_525), (171_216, 7_000_526),
+]
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_rrgen_rma_calls(benchmark, flixster_lite, kernel):
+    csr, cpe = flixster_lite
+
+    def rma_calls():
+        return sum(
+            generate_rr_local(csr, cpe, n_rr, seed=s, kernel=kernel).n_rr
+            for n_rr, s in _RMA_CALLS
+        )
+
+    sets = benchmark.pedantic(rma_calls, rounds=2, iterations=1)
+    assert sets == sum(n_rr for n_rr, _ in _RMA_CALLS)

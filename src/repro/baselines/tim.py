@@ -47,11 +47,11 @@ def kpt_estimation(
 
     Iteration i draws c_i sets at seed·7919+i and stops the procedure when
     its mean κ exceeds 2^-i. Consecutive iterations are drawn in one request
-    while their sets fit in one ``_CHUNK`` (one BFS), and an iteration
-    larger than that alone; the iterations are then tested in order. The
-    sets drawn after the stopping iteration are not counted in ``spent``,
-    so KPT and ``spent`` equal those of drawing one iteration at a time, at
-    the cost of at most one chunk of speculative sets per call.
+    while their sets fit in one ``_CHUNK`` (16384 sets, one BFS), and an
+    iteration larger than that alone; the iterations are then tested in
+    order. The sets drawn after the stopping iteration are not counted in
+    ``spent``, so KPT and ``spent`` equal those of drawing one iteration at
+    a time, at the cost of at most one chunk of speculative sets per call.
     """
     n, m = csr.n, csr.m
     log2n = max(2, int(math.floor(math.log2(n))))

@@ -34,18 +34,19 @@ from repro.influence.rrset import (
 
 # A single block of more expected members (sets × mean width) than this goes
 # to Spark. The fan-out's fixed cost (job launch, broadcast, collect) is
-# ~0.5 s, its per-member cost about a third of the driver kernel's, so the
+# ~0.4 s, its per-member cost about half the driver kernel's, so the
 # crossover tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`,
-# warm session, best of 2, seconds local / Spark (RDD fan-out, raw int32
-# buffers):
+# one warm session, best of 2, seconds local / Spark (RDD fan-out, raw int32
+# buffers; the driver kernel flips coins per entry against integer
+# thresholds, 16384 sets per BFS):
 #
 #   graph (mean width)             20K sets     100K         400K         1M            1.43M
-#   flixster_lite (4.6)            0.07 / 0.61  0.31 / 0.80  1.36 / 1.29  2.97 / 1.78   4.52 / 2.30
-#   WC, livejournal-shaped (15.5)  0.30 / 0.91  1.62 / 1.89  6.18 / 4.31  19.06 / 9.34  —
+#   flixster_lite (4.6)            0.05 / 0.43  0.26 / 0.71  1.09 / 1.21  2.40 / 1.64   3.89 / 2.28
+#   livejournal_lite, WC (15.5)    0.28 / 0.54  1.35 / 1.15  4.93 / 3.04  12.39 / 6.45  —
 #
-# i.e. parity at ~1.7M members on flixster and ~2.1M on the WC graph, below
-# the split. It stays at 2.5M: moving it moves which of RMA's doublings go to
-# Spark, a change of its own (ROADMAP item 7).
+# i.e. parity at ~2.2M members on flixster and ~1.0M on the WC graph, below
+# the split on both. It stays at 2.5M: moving it moves which of RMA's
+# doublings go to Spark, a change of its own (ROADMAP item 7).
 _SPARK_MIN_MEMBERS = 2_500_000
 
 

@@ -10,7 +10,10 @@ For the SUBSIM kernel each node's in-edge slice is also sorted by
 probability (descending) per advertiser, so the geometric-skipping sampler
 can use the sorted prefix as its envelope. Those arrays are built on first
 use and cached on the graph: the standard kernel never reads them, so a
-graph that only it samples does not carry them in its broadcast.
+graph that only it samples does not carry them in its broadcast. The
+standard kernel's integer coin thresholds (8 B per probability) are built
+on first use and cached the same way; a graph broadcast after a draw on
+the driver carries them, otherwise each worker builds its own.
 """
 from __future__ import annotations
 
@@ -39,6 +42,13 @@ class CSRGraph:
         segment = np.repeat(np.arange(self.n), np.diff(self.in_indptr))
         order = np.stack([np.lexsort((-row, segment)) for row in self.in_probs])
         return np.take_along_axis(self.in_probs, order, axis=1), self.in_indices[order]
+
+    @cached_property
+    def coin_thresholds(self) -> np.ndarray:
+        """``in_probs`` flattened as the integer coin thresholds ⌈p·2⁵³⌉
+        (uint64): a coin whose top 53 bits N give the draw u = N·2⁻⁵³ lands
+        (u < p) exactly when N < ⌈p·2⁵³⌉. Built once, on first use."""
+        return np.ceil(self.in_probs.ravel() * 2.0**53).astype(np.uint64)
 
     # Aligned to in-CSR slices, sorted desc by prob.
     @property

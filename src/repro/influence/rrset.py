@@ -33,13 +33,16 @@ smallest unsigned advertiser type); ``RRCollection`` bounds a collection to
 < 2³¹ members.
 
 The sets of a call, one id range or several ``(n_rr, seed)`` blocks side by
-side, run as level-synchronous reverse BFSs over up to ``_CHUNK`` set keys
-each (to bound memory): the frontier is a pair of arrays (set slot, node),
-and each level is a single batched kernel call over the whole frontier.
+side, run as level-synchronous reverse BFSs over up to ``_CHUNK`` (16384)
+set keys each: the frontier is a pair of arrays (set slot, node), each
+level is a single batched kernel call over the whole frontier, and its new
+members are merged into the BFS's sorted visited codes with one scatter.
 Two kernels share this harness:
 
 - ``standard``: every in-edge of every frontier entry, gathered with
-  ``np.repeat`` over ``in_indptr``, gets one coin (O(indeg) per entry).
+  ``np.repeat`` over ``in_indptr``, gets one coin (O(indeg) per entry),
+  compared as an integer against the edge's ``coin_thresholds`` entry; the
+  coins are flipped ``_PASS_COINS`` or so at a time.
 - ``subsim``: subset sampling in the spirit of SUBSIM [34] — batched
   geometric skips over each entry's in-edges sorted by descending
   probability, thinning each hit by p_j/p_env against a per-entry running
@@ -85,9 +88,11 @@ _SKIP = 1 << 40
 _THIN = 1 << 41
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, in place on a uint64 array."""
-    t = np.empty_like(z)
+def _mix(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array; ``t``, if
+    given, is a uint64 scratch array of ``z``'s shape that it overwrites."""
+    if t is None:
+        t = np.empty_like(z)
     np.right_shift(z, _S30, out=t)
     z ^= t
     z *= _MUL1
@@ -137,16 +142,58 @@ def _slice_positions(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return np.repeat(lo - starts, cnt) + np.arange(cnt.sum())
 
 
+# Coins per pass of the standard kernel. A frontier is flipped in runs of
+# whole entries holding about this many in-edges, so a pass's scratch
+# arrays (8 B per coin each) stay near 128 KB however large a level grows.
+# Whole-level arrays made glibc grow and trim the heap top at every level
+# once a BFS held 8192 sets: a TI-CARM + TI-CSRM run on `lastfm_lite` took
+# 136K minor page faults instead of about 1K, and ran 1.14× slower than at
+# 4096 sets per BFS.
+_PASS_COINS = 1 << 14
+
+
 def _expand_standard(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
     """Activated in-neighbours of a frontier: one coin per in-edge of every
     frontier entry (set slot ``fs``, node ``fv``, probability row ``rows``),
-    each drawn from the set's key. Returns the (slot, in-neighbour) hits."""
+    each drawn from the set's key. Returns the (slot, in-neighbour) hits,
+    flipped ``_PASS_COINS`` coins or so at a time."""
     lo = g.in_indptr[fv]
     cnt = g.in_indptr[fv + 1] - lo
-    flat = _slice_positions(rows * g.m + lo, cnt)
-    u = _uniform(np.repeat(keys[fs], cnt), flat, _COIN)
-    hit = np.flatnonzero(u < g.in_probs.ravel()[flat])
-    entry = np.searchsorted(np.cumsum(cnt), hit, side="right")
+    ends = np.cumsum(cnt)
+    total = ends[-1] if len(ends) else 0
+    cuts = np.searchsorted(ends, np.arange(_PASS_COINS, total, _PASS_COINS), "right")
+    bounds = [0, *cuts.tolist(), len(fs)]
+    hs, hv = zip(*(
+        _flip_coins(fs[a:b], lo[a:b], cnt[a:b], rows[a:b], g, keys)
+        for a, b in zip(bounds, bounds[1:])
+    ))
+    return np.concatenate(hs), np.concatenate(hv)
+
+
+def _flip_coins(fs, lo, cnt, rows, g: CSRGraph, keys: np.ndarray):
+    """The hits among the coins of frontier entries whose in-edge slices
+    start at ``lo`` and hold ``cnt`` edges.
+
+    The coin of flat ``in_probs`` slot f is ``_stream(key, f, _COIN)``,
+    ``mix(key + (f + _COIN + 1)·γ)``. Entry e's coins take the positions i
+    from ``ends[e] - cnt[e]`` and the slots f = i + d[e], so the words to
+    mix are one value per entry, ``key + (d[e] + _COIN + 1)·γ``, plus i·γ
+    (mod 2⁶⁴). A coin lands when its top 53 bits are below the edge's
+    ``coin_thresholds`` entry, which is exactly the draw u < p.
+    """
+    ends = np.cumsum(cnt)
+    d = rows * g.m + lo + cnt - ends
+    ramp = np.arange(ends[-1] if len(ends) else 0, dtype=np.uint64)
+    flat = np.repeat(d, cnt)
+    flat += ramp.view(np.int64)
+    ramp *= _GAMMA
+    d += _COIN + 1
+    z = np.repeat(keys[fs] + d.view(np.uint64) * _GAMMA, cnt)
+    z += ramp
+    _mix(z, ramp)
+    z >>= _S11
+    hit = np.flatnonzero(z < g.coin_thresholds[flat])
+    entry = np.searchsorted(ends, hit, side="right")
     return fs[entry], g.in_indices[flat[hit] % g.m]
 
 
@@ -214,8 +261,16 @@ _KERNELS = {
 }
 
 
-# Sets per reverse BFS; bounds the frontier and visited arrays, nothing else.
-_CHUNK = 4096
+# Sets per reverse BFS. A larger batch pays the per-level cost of a BFS
+# (about 30 numpy calls and a pass over the visited codes) for more sets,
+# while the standard kernel's scratch arrays stay at one pass of
+# `_PASS_COINS` coins, whatever the level size. With this kernel, `ti_lastfm`
+# `cell_s` was 0.96× the old kernel's at 4096 sets per BFS (flipping whole
+# levels) and 0.85× at 16384 (perfbench/run.py, 4-vCPU VM, `local[4]`, 7
+# paired runs). SUBSIM, whose skip loop runs once per hit, gains most: the
+# generation calls of an `rma_dblp_wc` cell took 0.62× as long at 16384 as
+# at 4096. The batch changes no set, only speed and peak memory.
+_CHUNK = 16384
 
 
 def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
@@ -225,9 +280,12 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
     each level in node order.
 
     The frontier is a pair of arrays (set slot, node), each level is one
-    kernel call over the whole frontier, and new members are deduplicated
-    against the sorted visited codes ``slot * n + node``. Advertisers come
-    back in the collection's ``rr_adv`` dtype, lengths and members as int32.
+    kernel call over the whole frontier, and its hits are deduplicated
+    against the visited codes ``slot * n + node``, kept sorted: the new
+    codes, sorted by ``np.unique``, are scattered into a merged array and
+    the old codes fill the slots left over, with no re-sort. Advertisers
+    come back in the collection's ``rr_adv`` dtype, lengths and members as
+    int32.
     """
     expand = _KERNELS[kernel]
     n, n_sets = g.n, len(keys)
@@ -246,7 +304,17 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
         at = np.searchsorted(visited, codes)
         fresh = visited[at] != codes
         new = codes[fresh]
-        visited = np.insert(visited, at[fresh], new)  # stays sorted, no re-sort
+        # Merge the sorted new codes into the sorted visited array: the k-th
+        # new code lands k places after its insertion point, and the old
+        # codes keep their order in the slots left over.
+        pos = at[fresh]
+        pos += np.arange(len(new))
+        merged = np.empty(len(visited) + len(new), dtype=np.int64)
+        merged[pos] = new
+        old = np.ones(len(merged), dtype=bool)
+        old[pos] = False
+        merged[old] = visited
+        visited = merged
         fs, fv = np.divmod(new, n)
         level_s.append(fs)
         level_v.append(fv)
@@ -353,8 +421,9 @@ class RRCollection:
         rr_adv = rr_adv.astype(_adv_dtype(h), copy=False)
         members = members.astype(np.int32, copy=False)
         rr = np.repeat(np.arange(len(rr_adv), dtype=np.int32), rr_len)
-        # intp before the multiply: a uint8 advertiser times n wraps in uint16.
-        key = rr_adv[rr].astype(np.intp)
+        # Cast before the multiply (a uint8 advertiser times n wraps in
+        # uint16), to int32 whenever every key k = adv·n + node < h·n fits.
+        key = rr_adv[rr].astype(np.int32 if h * n < 2**31 else np.int64)
         key *= n
         key += members
         key_ptr = _ptr(np.bincount(key, minlength=h * n))

@@ -358,6 +358,61 @@ def test_counter_draws_are_uniform_and_independent():
         assert abs(r) < 5 / np.sqrt(a.size), (name, r)
 
 
+# p and the draws N·2⁻⁵³ to test against it: the extremes, and the
+# integers on either side of each threshold ⌈p·2⁵³⌉.
+THRESHOLD_PROBS = [0.0, 2.0**-53, 0.1, 1 / 3, 0.4, 1 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("p", THRESHOLD_PROBS)
+def test_integer_coin_threshold_is_the_float_draw(p):
+    """A coin lands when its top 53 bits N are below ``coin_thresholds``,
+    ⌈p·2⁵³⌉: exactly when the float draw N·2⁻⁵³ is below p."""
+    csr = build_csr(2, np.array([0]), np.array([1]), np.array([[p]]))
+    [t] = csr.coin_thresholds.tolist()
+    assert csr.coin_thresholds.dtype == np.uint64
+    top = 2**53 - 1
+    for n in {0, top, t - 1, t, t + 1}:
+        if 0 <= n <= top:
+            assert (n < t) == (n * 2.0**-53 < p), (p, n, t)
+
+
+def _expand_reference(fs, fv, rows, g, keys):
+    """The standard kernel coin by coin: the coin of flat slot f is the
+    float draw ``_uniform(key, f, _COIN)``, and it lands below p."""
+    lo = g.in_indptr[fv]
+    cnt = g.in_indptr[fv + 1] - lo
+    flat = rrset._slice_positions(rows * g.m + lo, cnt)
+    u = rrset._uniform(np.repeat(keys[fs], cnt), flat, rrset._COIN)
+    hit = np.flatnonzero(u < g.in_probs.ravel()[flat])
+    entry = np.repeat(np.arange(len(fs)), cnt)[hit]
+    return fs[entry], g.in_indices[flat[hit] % g.m]
+
+
+@pytest.mark.parametrize(
+    "pass_coins", [rrset._PASS_COINS, 7, 1], ids=["one_pass", "pass7", "pass1"]
+)
+@pytest.mark.parametrize("fixture", ["small_csr", "wc_csr"])
+def test_standard_expansion_equals_the_coin_by_coin_draw(
+    request, monkeypatch, fixture, pass_coins
+):
+    """The folded counter arithmetic and integer thresholds give the hits of
+    one float draw per coin, on per-advertiser rows and on one shared row,
+    with repeated nodes, zero in-degrees and an empty frontier included, in
+    one pass or in passes smaller than one entry's in-edges."""
+    monkeypatch.setattr(rrset, "_PASS_COINS", pass_coins)
+    g = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(31)
+    keys = rrset._set_keys(31, 0, 50)
+    for size in (0, 1, 500):
+        fs = np.sort(rng.integers(0, len(keys), size))
+        fv = rng.integers(0, g.n, size)
+        rows = rng.integers(0, len(g.in_probs), size)
+        got = rrset._expand_standard(fs, fv, rows, g, keys)
+        want = _expand_reference(fs, fv, rows, g, keys)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_from_memberships():
     rr = from_memberships(5, [1.0, 1.0], [(0, {0, 1}), (1, {2}), (0, {1})])
     assert rr.n_rr == 3
