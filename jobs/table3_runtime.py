@@ -5,8 +5,6 @@ Runs RMA / TI-CARM / TI-CSRM on the LastFM and Flixster stand-ins across
 linear rows), since the same records feed EXPERIMENTS.md, and each run's
 RR-index bytes (Fig. 4's memory).
 """
-import pandas as pd
-
 from _common import get_spark, print_table
 from repro.experiments.tables import table3_runtime, _pivot
 

@@ -1,8 +1,7 @@
-"""The paper's contribution: Algorithms 1–7 over a revenue-model abstraction."""
+"""The paper's contribution: Algorithms 1–7 over the RR-coverage revenue model."""
 from repro.core.model import (
     RMProblem,
     CoverageRevenueModel,
-    ExactRevenueModel,
     brute_force_opt,
 )
 from repro.core.greedy import greedy
@@ -15,7 +14,6 @@ from repro.core.rma import rm_without_oracle, RMAResult
 __all__ = [
     "RMProblem",
     "CoverageRevenueModel",
-    "ExactRevenueModel",
     "brute_force_opt",
     "greedy",
     "threshold_greedy",

@@ -1,16 +1,13 @@
-"""Revenue-model abstraction the paper's algorithms run against.
+"""The revenue model the paper's algorithms run against: π̃ over RR sets.
 
 The Section-3 algorithms assume an *influence spread oracle*; Section 4
-replaces it with RR-set estimates ``π̃(·, R)``. Both are monotone submodular
-set functions, so we expose one interface:
-
-- ``CoverageRevenueModel``: π̃ over an ``RRCollection`` (Lemma 4.1) — a
-  weighted coverage function. With a large fixed collection this *is* the
-  Section-3 oracle (exact over its sample space, so the approximation-ratio
-  theorems hold exactly there); with RMA's progressive collections it is the
-  Section-4 estimator.
-- ``ExactRevenueModel``: exact π by live-edge world enumeration — ground
-  truth for tiny test instances.
+replaces it with the RR-set estimate ``π̃(·, R)`` (Lemma 4.1), a weighted
+coverage function and so monotone submodular. ``CoverageRevenueModel`` is
+that estimate over an ``RRCollection``. With a large fixed collection it
+*is* the Section-3 oracle (exact over its sample space, so the
+approximation-ratio theorems hold exactly there); with RMA's progressive
+collections it is the Section-4 estimator. Exact live-edge enumeration
+(``repro.influence.spread``) is kept only as the tests' oracle for it.
 
 ``RMProblem`` bundles a model with per-node costs and budgets; every
 algorithm takes an ``RMProblem``. ``brute_force_opt`` computes OPT by
@@ -25,53 +22,9 @@ import numpy as np
 
 from repro.core.celf import EPS, entries, pop_order, rates
 from repro.influence.rrset import RRCollection
-from repro.influence.spread import live_edge_worlds, reached
 
 
-class AllocState:
-    """Incremental allocation state: supports marginal gains and adds."""
-
-    def gain(self, u: int, i: int) -> float:  # π_i(u | S_i)
-        raise NotImplementedError
-
-    def gains(self, advs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """``gain`` of each element (nodes[k], advs[k]), bit for bit."""
-        return np.array(
-            [self.gain(u, i) for u, i in zip(nodes.tolist(), advs.tolist())],
-            dtype=np.float64,
-        )
-
-    def add(self, u: int, i: int) -> None:
-        raise NotImplementedError
-
-    def pi_i(self, i: int) -> float:  # π_i(S_i)
-        raise NotImplementedError
-
-
-class RevenueModel:
-    n: int
-    h: int
-    cpe: np.ndarray
-
-    def singleton_pi(self) -> np.ndarray:  # (h, n) of π_i({u})
-        raise NotImplementedError
-
-    def pi_of(self, i: int, nodes) -> float:  # stateless π_i(S)
-        raise NotImplementedError
-
-    def state(self, allocation=None) -> AllocState:
-        raise NotImplementedError
-
-    def pi_alloc(self, allocation) -> float:
-        return float(sum(self.pi_of(i, allocation[i]) for i in range(self.h)))
-
-
-# ---------------------------------------------------------------------------
-# Coverage model over RR sets
-# ---------------------------------------------------------------------------
-
-
-class _CoverageState(AllocState):
+class _CoverageState:
     """Covered RR sets of an allocation. Every (adv, node) key's count of
     uncovered RR sets is kept current, so a marginal gain is one lookup.
 
@@ -95,10 +48,11 @@ class _CoverageState(AllocState):
                 if seeds:
                     self._cover(i, np.unique(rr.rr_ids_of(i, seeds)))
 
-    def gain(self, u: int, i: int) -> float:
+    def gain(self, u: int, i: int) -> float:  # π̃_i(u | S_i)
         return float(self.uncovered[i, u]) * self.factor
 
     def gains(self, advs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``gain`` of each element (nodes[k], advs[k]), bit for bit."""
         return self.uncovered[advs, nodes] * self.factor
 
     def add(self, u: int, i: int) -> None:
@@ -117,11 +71,11 @@ class _CoverageState(AllocState):
         # members' keys loses one uncovered set.
         self.uncovered[i] -= np.bincount(rr.members_of(newly), minlength=rr.n)
 
-    def pi_i(self, i: int) -> float:
+    def pi_i(self, i: int) -> float:  # π̃_i(S_i)
         return self.cov_count[i] * self.factor
 
 
-class CoverageRevenueModel(RevenueModel):
+class CoverageRevenueModel:
     """π̃(·, R) = nΓ·coverage/|R| over an RR collection."""
 
     def __init__(self, rr: RRCollection):
@@ -132,116 +86,21 @@ class CoverageRevenueModel(RevenueModel):
         self.factor = rr.factor
         self._singleton = None
 
-    def singleton_pi(self) -> np.ndarray:
+    def singleton_pi(self) -> np.ndarray:  # (h, n) of π̃_i({u})
         if self._singleton is None:
             self._singleton = (
                 self.rr.singleton_cover_counts().astype(np.float64) * self.factor
             )
         return self._singleton
 
-    def pi_of(self, i: int, nodes) -> float:
+    def pi_of(self, i: int, nodes) -> float:  # stateless π̃_i(S)
         return float(self.rr.covered_count(i, nodes)) * self.factor
+
+    def pi_alloc(self, allocation) -> float:  # Σ_i π̃_i(S_i)
+        return float(sum(self.pi_of(i, allocation[i]) for i in range(self.h)))
 
     def state(self, allocation=None) -> _CoverageState:
         return _CoverageState(self, allocation)
-
-
-# ---------------------------------------------------------------------------
-# Exact model by live-edge enumeration (tiny instances)
-# ---------------------------------------------------------------------------
-
-
-class _ExactState(AllocState):
-    def __init__(self, model: "ExactRevenueModel", allocation=None):
-        self.model = model
-        # Per advertiser: current reached-set bitmask per world.
-        self.masks = [
-            np.zeros(len(model.worlds[i][0]), dtype=object) for i in range(model.h)
-        ]
-        for i in range(model.h):
-            self.masks[i][:] = 0
-        if allocation is not None:
-            for i in range(model.h):
-                for u in allocation[i]:
-                    self.add(int(u), i)
-
-    def _pi_masks(self, i: int, masks) -> float:
-        p_w, reach = self.model.worlds[i]
-        s = 0.0
-        for w in range(len(p_w)):
-            s += p_w[w] * int(masks[w]).bit_count()
-        return s * self.model.cpe[i]
-
-    def gain(self, u: int, i: int) -> float:
-        p_w, reach = self.model.worlds[i]
-        s = 0.0
-        for w in range(len(p_w)):
-            cur = int(self.masks[i][w])
-            s += p_w[w] * ((cur | reach[w][u]).bit_count() - cur.bit_count())
-        return s * self.model.cpe[i]
-
-    def add(self, u: int, i: int) -> None:
-        p_w, reach = self.model.worlds[i]
-        for w in range(len(p_w)):
-            self.masks[i][w] = int(self.masks[i][w]) | reach[w][u]
-
-    def pi_i(self, i: int) -> float:
-        return self._pi_masks(i, self.masks[i])
-
-
-class ExactRevenueModel(RevenueModel):
-    """Exact π_i via full live-edge world enumeration (m ≤ ~14 edges)."""
-
-    def __init__(self, n, src, dst, probs, cpe):
-        self.n = int(n)
-        self.h = len(cpe)
-        self.cpe = np.asarray(cpe, dtype=np.float64)
-        src = np.asarray(src)
-        dst = np.asarray(dst)
-        probs2d = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-        assert len(src) <= 14, "exact model is for tiny instances"
-        self.worlds = []
-        for i in range(self.h):
-            row = probs2d[0] if probs2d.shape[0] == 1 else probs2d[i]
-            p_ws, reaches = [], []
-            for p_world, adj in live_edge_worlds(src, dst, row):
-                reach = []
-                for v in range(self.n):
-                    mask = 0
-                    for x in reached(adj, [v]):
-                        mask |= 1 << x
-                    reach.append(mask)
-                p_ws.append(p_world)
-                reaches.append(reach)
-            self.worlds.append((np.asarray(p_ws), reaches))
-
-    def singleton_pi(self) -> np.ndarray:
-        out = np.zeros((self.h, self.n))
-        for i in range(self.h):
-            for u in range(self.n):
-                out[i, u] = self.pi_of(i, [u])
-        return out
-
-    def pi_of(self, i: int, nodes) -> float:
-        nodes = list(nodes)
-        if not nodes:
-            return 0.0
-        p_w, reach = self.worlds[i]
-        s = 0.0
-        for w in range(len(p_w)):
-            mask = 0
-            for u in nodes:
-                mask |= reach[w][int(u)]
-            s += p_w[w] * mask.bit_count()
-        return s * float(self.cpe[i])
-
-    def state(self, allocation=None) -> _ExactState:
-        return _ExactState(self, allocation)
-
-
-# ---------------------------------------------------------------------------
-# Problem bundle + brute force
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -253,7 +112,7 @@ class RMProblem:
     algorithm has run on it.
     """
 
-    model: RevenueModel
+    model: CoverageRevenueModel
     costs: np.ndarray  # (h, n)
     budgets: np.ndarray  # (h,)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

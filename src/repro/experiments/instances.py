@@ -160,11 +160,11 @@ def _graph_and_probs(cfg: dict):
     src, dst = preset_edges(cfg)
     m = len(src)
     if cfg["model"] == "tic":
-        topic_pdf = tic_topic_entries(
+        topics = tic_topic_entries(
             m, cfg["L"], seed=cfg["seed"] + 1, density=cfg["density"], p_max=cfg["p_max"]
         )
         phi = ad_mixtures(cfg["h"], cfg["L"], seed=cfg["seed"] + 2)
-        probs = tic_probs(topic_pdf, phi, m)
+        probs = tic_probs(topics, phi, m)
     else:
         probs = wc_probs(dst, cfg["n"])[None, :]
     return src, dst, probs

@@ -37,8 +37,10 @@ class CSRGraph:
 
     @cached_property
     def subsim_aux(self) -> tuple[np.ndarray, np.ndarray]:
-        """SUBSIM auxiliaries: each in-slice sorted by descending probability
-        (stable, so ties keep in-CSR order). Built once, on first use."""
+        """SUBSIM auxiliaries (probs_sorted, indices_sorted), (rows, m) each:
+        every in-slice's probabilities and in-neighbours sorted by
+        descending probability (stable, so ties keep in-CSR order). Built
+        once, on first use."""
         segment = np.repeat(np.arange(self.n), np.diff(self.in_indptr))
         order = np.stack([np.lexsort((-row, segment)) for row in self.in_probs])
         return np.take_along_axis(self.in_probs, order, axis=1), self.in_indices[order]
@@ -49,15 +51,6 @@ class CSRGraph:
         (uint64): a coin whose top 53 bits N give the draw u = N·2⁻⁵³ lands
         (u < p) exactly when N < ⌈p·2⁵³⌉. Built once, on first use."""
         return np.ceil(self.in_probs.ravel() * 2.0**53).astype(np.uint64)
-
-    # Aligned to in-CSR slices, sorted desc by prob.
-    @property
-    def in_probs_sorted(self) -> np.ndarray:
-        return self.subsim_aux[0]
-
-    @property
-    def in_indices_sorted(self) -> np.ndarray:
-        return self.subsim_aux[1]
 
 
 def _csr_order(key: np.ndarray, n: int):

@@ -18,12 +18,7 @@ fraction of positive edge-ad probabilities (~95% Flixster, ~77% LastFM).
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    import pandas as pd
 
 
 def tic_topic_entries(
@@ -33,21 +28,18 @@ def tic_topic_entries(
     seed: int,
     density: float = 0.3,
     p_max: float = 0.3,
-) -> pd.DataFrame:
-    """Sparse per-topic edge probabilities as (edge_id, topic, p_hat) rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse per-topic edge probabilities as (edge_id, topic, p_hat) arrays.
 
     Each (edge, topic) pair is active with probability ``density``; active
-    pairs get p̂ ~ U(0.01, p_max). Only nonzero entries are materialised.
+    pairs get p̂ ~ U(0.01, p_max). Only nonzero entries are materialised,
+    edge-major.
     """
     g = np.random.default_rng(seed)
     active = g.random((m, L)) < density
     edge_id, topic = np.nonzero(active)
     p_hat = g.uniform(0.01, p_max, size=len(edge_id))
-    import pandas as pd  # here, so a Spark worker importing repro.graphs skips it
-
-    return pd.DataFrame(
-        {"edge_id": edge_id.astype(np.int64), "topic": topic.astype(np.int64), "p_hat": p_hat}
-    )
+    return edge_id, topic, p_hat
 
 
 def ad_mixtures(h: int, L: int, *, seed: int) -> np.ndarray:
@@ -62,16 +54,15 @@ def ad_mixtures(h: int, L: int, *, seed: int) -> np.ndarray:
     return x / x.sum(axis=1, keepdims=True)
 
 
-def tic_probs(topic_pdf: pd.DataFrame, phi: np.ndarray, m: int) -> np.ndarray:
-    """p^i_{uv} = Σ_z φ_i(z)·p̂^z_{uv} as a dense (h, m) array.
+def tic_probs(entries: tuple, phi: np.ndarray, m: int) -> np.ndarray:
+    """p^i_{uv} = Σ_z φ_i(z)·p̂^z_{uv} as a dense (h, m) array, from
+    ``tic_topic_entries``' (edge_id, topic, p_hat) arrays.
 
     Topics are added one at a time in the order z = 0..L-1, so every entry
     is the same left-to-right sum on any machine (a BLAS matmul leaves the
     summation order open). Edge-ad pairs with no active topic stay 0.
     """
-    edge = topic_pdf["edge_id"].to_numpy()
-    topic = topic_pdf["topic"].to_numpy()
-    p_hat = topic_pdf["p_hat"].to_numpy()
+    edge, topic, p_hat = entries
     probs = np.zeros((phi.shape[0], m), dtype=np.float64)
     for z in range(phi.shape[1]):
         on = topic == z  # an edge holds each topic at most once

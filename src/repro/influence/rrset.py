@@ -219,10 +219,11 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
     O(1 + #hits) per entry instead of O(indeg). Entries expecting more than
     ``_SUBSIM_HIT_CUTOFF`` hits take the standard draw instead.
     """
+    probs_sorted, indices_sorted = g.subsim_aux
     lo = g.in_indptr[fv]
     d = g.in_indptr[fv + 1] - lo
     k = np.flatnonzero(d)
-    p_env = g.in_probs_sorted[rows[k], lo[k]]
+    p_env = probs_sorted[rows[k], lo[k]]
     dense = p_env * d[k] > _SUBSIM_HIT_CUTOFF
     kd = k[dense]
     hs, hv = _expand_standard(fs[kd], fv[kd], rows[kd], g, keys)
@@ -239,12 +240,12 @@ def _expand_subsim(fs, fv, rows, g: CSRGraph, keys: np.ndarray):
             j = pos + np.minimum(skip, d).astype(np.int64)
             hit = j < d
             e = lo + np.minimum(j, d - 1)
-            pj = g.in_probs_sorted[rows, e]
+            pj = probs_sorted[rows, e]
             thin = hit & (pj < p_env)
             keep = hit & ~thin
             keep[thin] = _uniform(key[thin], e[thin], _THIN) < pj[thin] / p_env[thin]
             out_s.append(fs[keep])
-            out_v.append(g.in_indices_sorted[rows[keep], e[keep]])
+            out_v.append(indices_sorted[rows[keep], e[keep]])
             p_env = np.where(thin, pj, p_env)
             pos = j + 1
             live = np.flatnonzero(hit & (pos < d) & (p_env > 0.0))

@@ -1,11 +1,12 @@
 """Exact influence spread by live-edge enumeration (tiny graphs only).
 
-Every spread and revenue the algorithms use is an RR-coverage estimate
-(Lemma 4.1, ``influence.rrset``). This module is its ground truth:
-``exact_spread_enum`` enumerates all 2^m live-edge worlds
-(``live_edge_worlds``, shared with the exact revenue model) and counts the
-nodes each world's BFS (``reached``) reaches from the seeds; tests check
-the RR singleton estimates against it.
+Every spread and revenue the program computes is an RR-coverage estimate
+(Lemma 4.1, ``influence.rrset`` and ``core.model``). This module is the
+tests' oracle for it and is used by no program code: ``exact_spread_enum``
+enumerates all 2^m live-edge worlds (``live_edge_worlds``) and counts the
+nodes each world's BFS (``reached``) reaches from the seeds. Tests check
+RR singleton spreads and per-advertiser revenues of multi-node seed sets
+against it, and RR-set membership against ``reached`` per world.
 """
 from __future__ import annotations
 

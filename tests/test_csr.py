@@ -47,14 +47,15 @@ def test_sorted_aux(seed):
     g = np.random.default_rng(seed + 20)
     probs = g.uniform(0.01, 0.9, size=(1, len(src)))
     csr = build_csr(n, src, dst, probs)
+    probs_sorted, indices_sorted = csr.subsim_aux
     for v in range(n):
         lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
         if hi == lo:
             continue
-        sl = csr.in_probs_sorted[0, lo:hi]
+        sl = probs_sorted[0, lo:hi]
         assert np.all(np.diff(sl) <= 1e-15)
         pairs = sorted(zip(csr.in_probs[0, lo:hi], csr.in_indices[lo:hi]))
-        pairs_sorted = sorted(zip(sl, csr.in_indices_sorted[0, lo:hi]))
+        pairs_sorted = sorted(zip(sl, indices_sorted[0, lo:hi]))
         assert np.allclose([p for p, _ in pairs], [p for p, _ in pairs_sorted])
 
 
@@ -86,8 +87,8 @@ def test_subsim_aux_equals_reference_loop(seed, shared):
     csr = build_csr(n, src, dst, probs)
     assert (np.diff(csr.in_indptr) == 0).any()
     ps, ix = _ref_subsim_aux(n, csr)
-    np.testing.assert_array_equal(csr.in_probs_sorted, ps)
-    np.testing.assert_array_equal(csr.in_indices_sorted, ix)
+    np.testing.assert_array_equal(csr.subsim_aux[0], ps)
+    np.testing.assert_array_equal(csr.subsim_aux[1], ix)
 
 
 @pytest.mark.parametrize("shared", [False, True])

@@ -1,5 +1,4 @@
 """Tests for revenue evaluation and singleton-spread estimation."""
-import numpy as np
 import pytest
 
 from repro.influence.evaluate import (

@@ -1,5 +1,4 @@
 """Integration tests for the run harness on the tiny preset."""
-import numpy as np
 import pytest
 
 from repro.experiments.harness import run_rma, run_ti

@@ -1,14 +1,11 @@
-"""Tests for the revenue-model abstraction (coverage + exact) and OPT."""
+"""Tests for the RR-coverage revenue model π̃ (its state, its value a
+selection reports, the problem bundle) and brute-force OPT. π̃ is checked
+against exact live-edge enumeration in ``tests/test_spread.py``."""
 import numpy as np
 import pytest
 
 from repro.core.greedy import greedy
-from repro.core.model import (
-    CoverageRevenueModel,
-    ExactRevenueModel,
-    RMProblem,
-    brute_force_opt,
-)
+from repro.core.model import CoverageRevenueModel, brute_force_opt
 from repro.core.threshold_greedy import threshold_greedy
 from repro.influence.rrset import from_memberships
 
@@ -87,28 +84,6 @@ def test_state_from_allocation_equals_replay(seed):
     ]
 
 
-def test_exact_model_state_matches_stateless():
-    src = np.array([0, 0, 1, 2])
-    dst = np.array([1, 2, 3, 3])
-    probs = np.array([[0.5, 0.3, 0.7, 0.4], [0.2, 0.6, 0.5, 0.8]])
-    model = ExactRevenueModel(4, src, dst, probs, [1.0, 2.0])
-    state = model.state()
-    g0 = state.gain(0, 1)
-    assert g0 == pytest.approx(model.pi_of(1, [0]))
-    state.add(0, 1)
-    g1 = state.gain(1, 1)
-    assert g1 == pytest.approx(model.pi_of(1, [0, 1]) - model.pi_of(1, [0]))
-
-
-def test_exact_model_cpe_scaling():
-    src, dst = np.array([0]), np.array([1])
-    probs = np.array([[0.5]])
-    m1 = ExactRevenueModel(2, src, dst, probs, [1.0])
-    m2 = ExactRevenueModel(2, src, dst, probs, [3.0])
-    assert m2.pi_of(0, [0]) == pytest.approx(3 * m1.pi_of(0, [0]))
-    assert m1.pi_of(0, [0]) == pytest.approx(1.5)  # 1 + 0.5
-
-
 def test_rmproblem_feasibility():
     prob = random_coverage_problem(1)
     assert prob.is_feasible([set(), set()])
@@ -151,28 +126,16 @@ def test_factor_formula():
 # ---------------------------------------------------------------------------
 
 
-def _exact_problem(seed, n=6, h=2):
-    g = np.random.default_rng(seed)
-    src = np.array([0, 0, 1, 2, 3, 4, 1, 5, 2, 3])
-    dst = np.array([1, 2, 3, 3, 4, 5, 4, 0, 5, 1])
-    probs = g.uniform(0.1, 0.9, size=(h, len(src)))
-    model = ExactRevenueModel(n, src, dst, probs, g.uniform(0.5, 2.0, size=h))
-    return RMProblem(model, g.uniform(0.2, 2.0, size=(h, n)), g.uniform(2.0, 8.0, size=h))
+# On seeds 1, 8, 22, 25, 26, 30 and 33, a running sum of Greedy's marginal
+# gains differs from π̃_i(S_i) in the last bit. The ids keep the
+# "coverage-" prefix so that each case keeps its test id.
+PI_PROBLEMS = [pytest.param(s, id=f"coverage-{s}") for s in range(40)]
 
 
-# On coverage seeds 1, 8, 22, 25, 26, 30 and 33 and exact seeds 0 and 1, a
-# running sum of Greedy's marginal gains differs from π_i(S_i) in the last
-# bit.
-PI_PROBLEMS = [("coverage", s) for s in range(40)] + [("exact", s) for s in range(6)]
-
-
-@pytest.mark.parametrize("kind,seed", PI_PROBLEMS)
-def test_selection_pi_equals_model_pi(kind, seed):
+@pytest.mark.parametrize("seed", PI_PROBLEMS)
+def test_selection_pi_equals_model_pi(seed):
     """Greedy's and ThresholdGreedy's π̃ is the model's value, bit for bit."""
-    if kind == "coverage":
-        prob = random_coverage_problem(seed, n=9, h=3, n_rr=60)
-    else:
-        prob = _exact_problem(seed)
+    prob = random_coverage_problem(seed, n=9, h=3, n_rr=60)
     for i in range(prob.h):
         res = greedy(prob, range(prob.n), i)
         assert res.pi_star == prob.model.pi_of(i, res.seeds)

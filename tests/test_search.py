@@ -1,5 +1,4 @@
 """Tests for Algorithm 4 (Search) and Algorithm 5 (RM_with_Oracle)."""
-import numpy as np
 import pytest
 
 from repro.core.model import brute_force_opt

@@ -1,11 +1,13 @@
-"""Exact spread enumeration, and the RR singleton estimate checked against it."""
+"""Exact spread enumeration, and the RR estimates checked against it."""
 import numpy as np
 import pytest
 
 from repro.graphs.csr import build_csr
-from repro.influence.evaluate import singleton_spreads
+from repro.influence.evaluate import evaluate_revenue, singleton_spreads
 from repro.influence.rrset import generate_rr_local
 from repro.influence.spread import exact_spread_enum
+
+from tests.test_rrset import TINY_DST, TINY_SRC, TINY_TIC
 
 # Three tiny topologies: a path with branch, a cycle, a DAG diamond.
 TINY = [
@@ -54,3 +56,33 @@ def test_exact_empty_and_deterministic_edges():
     assert exact_spread_enum(n, src, dst, np.array([1.0, 1.0]), [0]) == 3.0
     assert exact_spread_enum(n, src, dst, np.array([0.0, 0.0]), [0]) == 1.0
     assert exact_spread_enum(n, src, dst, np.array([1.0, 1.0]), []) == 0.0
+
+
+# Disjoint multi-node seed sets on the 6-node TIC graph; advertiser 1's
+# empty set in the second allocation has revenue exactly 0.
+LEMMA41_ALLOCATIONS = [
+    [{0, 3}, {1, 4}],
+    [{2, 5}, set()],
+    [{0, 1, 4}, {2, 3}],
+    [{3, 4, 5}, {0, 2}],
+]
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_lemma41_revenue_matches_exact_spread(kernel):
+    """Lemma 4.1 with h = 2, a probability row per advertiser and unequal
+    cpe: each advertiser's π̃_i(S_i) lies within 5 standard errors of
+    cpe_i·σ_i(S_i) by exact enumeration. A set is advertiser i's and covered
+    by S_i with p = cpe_i·σ_i/(nΓ), so π̃_i = nΓ·(covered share) has standard
+    error nΓ·√(p(1−p)/N); where p is 0 the estimate is exact."""
+    n, cpe, n_rr = 6, np.array([1.0, 2.5]), 200_000
+    csr = build_csr(n, TINY_SRC, TINY_DST, TINY_TIC)
+    rr = generate_rr_local(csr, cpe, n_rr, seed=5, kernel=kernel)
+    n_gamma = n * cpe.sum()
+    for alloc in LEMMA41_ALLOCATIONS:
+        _, per = evaluate_revenue(rr, alloc)
+        for i, seeds in enumerate(alloc):
+            exact = cpe[i] * exact_spread_enum(n, TINY_SRC, TINY_DST, TINY_TIC[i], seeds)
+            p = exact / n_gamma
+            margin = 5 * n_gamma * np.sqrt(p * (1 - p) / n_rr)
+            assert abs(per[i] - exact) <= margin + 1e-9, (alloc, i, per[i], exact)

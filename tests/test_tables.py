@@ -1,5 +1,4 @@
 """Tests for the table builders (structure + tiny-scale smoke)."""
-import numpy as np
 import pytest
 
 from repro.experiments import tables

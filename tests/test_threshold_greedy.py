@@ -1,5 +1,4 @@
 """Tests for Algorithms 2–3 — Theorem 3.2 case bounds, reference equivalence."""
-import numpy as np
 import pytest
 
 from repro.core.model import brute_force_opt

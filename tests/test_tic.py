@@ -19,10 +19,10 @@ def test_mixtures_are_distributions(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_topic_entries_sparse(seed):
     m, L, density = 2000, 10, 0.2
-    pdf = tic_topic_entries(m, L, seed=seed, density=density)
-    frac = len(pdf) / (m * L)
+    edge, topic, p_hat = tic_topic_entries(m, L, seed=seed, density=density)
+    frac = len(edge) / (m * L)
     assert abs(frac - density) < 0.03
-    assert pdf["p_hat"].min() >= 0.01
+    assert p_hat.min() >= 0.01
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -30,11 +30,12 @@ def test_tic_probs_closed_form(seed):
     """The topic-by-topic mixing p^i = Σ_z φ_i(z)·p̂^z matches the dense
     product φ · p̂ᵀ."""
     m, L, h = 400, 6, 4
-    pdf = tic_topic_entries(m, L, seed=seed, density=0.3)
+    topics = tic_topic_entries(m, L, seed=seed, density=0.3)
     phi = ad_mixtures(h, L, seed=seed + 1)
-    probs = tic_probs(pdf, phi, m)
+    probs = tic_probs(topics, phi, m)
+    edge, topic, p_hat = topics
     dense = np.zeros((m, L))
-    dense[pdf["edge_id"], pdf["topic"]] = pdf["p_hat"]
+    dense[edge, topic] = p_hat
     assert np.allclose(probs, phi @ dense.T)
 
 
@@ -42,9 +43,9 @@ def test_tic_probs_vs_duckdb():
     """The nonzero entries of the mixing are the rows of the join + group-by
     over (edge_id, topic, p_hat) and (adv, topic, phi), run in DuckDB."""
     m, L, h = 200, 5, 3
-    pdf = tic_topic_entries(m, L, seed=11, density=0.4)
+    topics = tic_topic_entries(m, L, seed=11, density=0.4)
     phi = ad_mixtures(h, L, seed=12)
-    probs = tic_probs(pdf, phi, m)
+    probs = tic_probs(topics, phi, m)
     adv, edge = np.nonzero(probs)
     ad_topic = np.indices((h, L)).reshape(2, -1)
     assert_equivalent(
@@ -54,7 +55,7 @@ def test_tic_probs_vs_duckdb():
         FROM topics t JOIN ads a ON t.topic = a.topic
         GROUP BY t.edge_id, a.adv
         """,
-        topics=pdf,
+        topics=pd.DataFrame(dict(zip(("edge_id", "topic", "p_hat"), topics))),
         ads=pd.DataFrame({"adv": ad_topic[0], "topic": ad_topic[1], "phi": phi.ravel()}),
     )
 
@@ -63,8 +64,8 @@ def test_positive_fraction_matches_density():
     """1-(1-d)^L positive-edge fraction — the Table-substitution knob."""
     m, L = 20000, 10
     for density, expect in ((0.137, 0.77), (0.26, 0.95)):
-        pdf = tic_topic_entries(m, L, seed=5, density=density)
-        frac = pdf["edge_id"].nunique() / m
+        edge, _, _ = tic_topic_entries(m, L, seed=5, density=density)
+        frac = len(np.unique(edge)) / m
         assert abs(frac - expect) < 0.02
 
 
@@ -93,8 +94,8 @@ def test_wc_probs_vs_duckdb():
 
 def test_collect_edge_adv_probs_zero_fill():
     """Edge-ad pairs with no active topic get probability 0."""
-    pdf = pd.DataFrame({"edge_id": [0], "topic": [0], "p_hat": [0.5]})
+    topics = (np.array([0]), np.array([0]), np.array([0.5]))
     phi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    probs = tic_probs(pdf, phi, 3)
+    probs = tic_probs(topics, phi, 3)
     assert probs[0, 0] == pytest.approx(0.5)
     assert probs[1, 0] == 0.0 and np.all(probs[:, 1:] == 0.0)
