@@ -58,7 +58,7 @@ class _AdvSample:
         self.epoch = 0
         self.spent = 0
         self.regens = 0
-        self.peak_bytes = 0  # the largest θ sample's RRCollection.nbytes
+        self.peak_bytes = 0  # the largest indexed θ sample's nbytes
         self.rr = self._sample()
 
     def _theta(self) -> int:
@@ -81,9 +81,7 @@ class _AdvSample:
     def _sample(self) -> RRCollection:
         theta = self._theta()
         self.spent += theta
-        rr = self.gen([(theta, self.seed + 997 * self.epoch + 1)])
-        self.peak_bytes = max(self.peak_bytes, rr.nbytes)
-        return rr
+        return self.gen([(theta, self.seed + 997 * self.epoch + 1)])
 
     def maybe_double(self, n_seeds: int) -> bool:
         """Double the latent seed size and regenerate ``rr`` when |S_i|
@@ -142,8 +140,12 @@ def ti_rm(
     alloc = [set() for _ in range(h)]
 
     def coverage(i):
-        """Coverage state of S_i on advertiser i's current sample."""
-        return CoverageRevenueModel(samples[i].rr).state([()] * i + [alloc[i]])
+        """Coverage state of S_i on advertiser i's current sample. Building
+        it indexes the sample, so its bytes are read after."""
+        s = samples[i]
+        state = CoverageRevenueModel(s.rr).state([()] * i + [alloc[i]])
+        s.peak_bytes = max(s.peak_bytes, s.rr.nbytes)
+        return state
 
     states = [coverage(i) for i in range(h)]
     spend = np.zeros(h)

@@ -55,7 +55,7 @@ class RMAResult:
     n_rr_r2: int
     theta_max: float
     stopped_by: str  # "beta" | "theta_max" | "cap" | "no_budget"
-    index_bytes: int = 0  # R₁ + R₂ at return (RRCollection.nbytes)
+    index_bytes: int = 0  # R₁ (indexed) + R₂ (RR-major) at return, RRCollection.nbytes
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -126,9 +126,9 @@ def rm_without_oracle(
         z = seek_ub(res, lam)
 
         # Validation on R₂: each π̃_i(S_i*, R₂) once, for the Lemma B.7
-        # budget check and for π̃(S⃗*, R₂).
-        model2 = CoverageRevenueModel(r2)
-        pi2 = [model2.pi_of(i, alloc[i]) for i in range(h)]
+        # budget check and for π̃(S⃗*, R₂), counted in one RR-major pass, so
+        # R₂ is never indexed.
+        pi2 = [float(c) * r2.factor for c in r2.covered_counts(alloc)]
         feasible = all(
             ub_mean(pi2[i], r2.n_rr, n_gamma, q)
             <= (1.0 + rho) * budgets[i] - prob1.cost_of(i, alloc[i]) + 1e-9
@@ -149,7 +149,7 @@ def rm_without_oracle(
         else:
             # Drop this round's references to R₁ and R₂ so that each old
             # collection is freed as soon as its merge returns.
-            del model1, prob1, res, model2
+            del model1, prob1, res
             r1 = r1.merge(rr_gen(r1.n_rr, seed * 1_000_003 + 100 + 2 * rounds))
             r2 = r2.merge(rr_gen(r2.n_rr, seed * 1_000_003 + 101 + 2 * rounds))
             continue
@@ -163,7 +163,7 @@ def rm_without_oracle(
             and r1.n_rr * BIAS_FACTOR <= max(theta_max, r1.n_rr)
         ):
             extra = r1.n_rr * (BIAS_FACTOR - 1)
-            del model1, prob1, res, model2
+            del model1, prob1, res
             r1 = r1.merge(rr_gen(extra, seed * 1_000_003 + 500 + 2 * rounds))
             r2 = r2.merge(rr_gen(extra, seed * 1_000_003 + 501 + 2 * rounds))
             continue

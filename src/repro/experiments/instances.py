@@ -34,17 +34,17 @@ from repro.influence.rrset import (
 
 # A single block of more expected members (sets × mean width) than this goes
 # to Spark. The fan-out's fixed cost (job launch, broadcast, collect) is
-# ~0.4 s, its per-member cost about half the driver kernel's, so the
+# ~0.3 s, its per-member cost about 0.4× the driver kernel's, so the
 # crossover tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`,
-# one warm session, best of 2, seconds local / Spark (RDD fan-out, raw int32
-# buffers; the driver kernel flips coins per entry against integer
-# thresholds, 16384 sets per BFS):
+# warm sessions, best of 4 (2 in each of two sessions), seconds local /
+# Spark (RDD fan-out, one task per core, raw int32 buffers; 16384 sets per
+# BFS):
 #
-#   graph (mean width)             20K sets     100K         400K         1M            1.43M
-#   flixster_lite (4.6)            0.05 / 0.43  0.26 / 0.71  1.09 / 1.21  2.40 / 1.64   3.89 / 2.28
-#   livejournal_lite, WC (15.5)    0.28 / 0.54  1.35 / 1.15  4.93 / 3.04  12.39 / 6.45  —
+#   graph (mean width)             20K sets     100K         400K         1M           1.43M
+#   flixster_lite (4.6)            0.03 / 0.25  0.25 / 0.40  0.70 / 0.66  1.90 / 0.81  3.26 / 1.28
+#   livejournal_lite, WC (15.5)    0.15 / 0.31  0.71 / 0.62  3.01 / 1.30  7.53 / 3.00  —
 #
-# i.e. parity at ~2.2M members on flixster and ~1.0M on the WC graph, below
+# i.e. parity at ~1.7M members on flixster and ~1.2M on the WC graph, below
 # the split on both. It stays at 2.5M: moving it moves which of RMA's
 # doublings go to Spark, a change of its own (ROADMAP item 7).
 _SPARK_MIN_MEMBERS = 2_500_000

@@ -15,22 +15,10 @@ import numpy as np
 from repro.influence.rrset import RRCollection
 
 
-def covered_counts(rr: RRCollection, allocation) -> np.ndarray:
-    """Per-advertiser number of RR sets covered by the allocation.
-
-    ``allocation`` is a sequence of per-advertiser seed iterables
-    (S_1, …, S_h). An RR set generated for advertiser i is covered iff it
-    intersects S_i.
-    """
-    return np.array(
-        [rr.covered_count(i, allocation[i]) for i in range(rr.h)], dtype=np.int64
-    )
-
-
 def evaluate_revenue(rr: RRCollection, allocation) -> tuple[float, np.ndarray]:
-    """(total π̃, per-advertiser π̃_i) of an allocation on this collection."""
-    cov = covered_counts(rr, allocation)
-    per = cov * rr.factor
+    """(total π̃, per-advertiser π̃_i) of an allocation on this collection,
+    from one RR-major pass (``RRCollection.covered_counts``)."""
+    per = rr.covered_counts(allocation) * rr.factor
     return float(per.sum()), per
 
 

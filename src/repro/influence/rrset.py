@@ -56,7 +56,7 @@ is the property the paper relies on in Appendix D.2.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -396,6 +396,11 @@ class RRCollection:
       are ``rr_ids[key_ptr[k]:key_ptr[k+1]]`` with ``k = adv * n + node``,
       in increasing order.
 
+    A collection is made RR-major; the key-major index is built from it the
+    first time ``key_ptr``, ``rr_ids`` or a reader of them is used, and then
+    kept. A collection only ever counted whole allocations on
+    (``covered_counts``) or read set by set never holds one.
+
     ``members``, ``rr_ids`` and both offset arrays are int32, which bounds a
     collection to fewer than 2³¹ members (checked; every set holds its root,
     so ids and offsets fit too); ``rr_adv`` is the smallest unsigned dtype
@@ -408,28 +413,58 @@ class RRCollection:
     rr_adv: np.ndarray  # (n_rr,) uint8 up to h = 256
     rr_ptr: np.ndarray  # (n_rr + 1,) int32
     members: np.ndarray  # node ids, RR-major, int32
-    key_ptr: np.ndarray  # (h * n + 1,) int32
-    rr_ids: np.ndarray  # RR ids, key-major, int32
+    # (key_ptr, rr_ids) once built: (h * n + 1,) and RR ids, key-major, int32
+    _index: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def from_sets(cls, n, cpe, rr_adv, rr_len, members):
-        """Index RR sets given set by set: set r has advertiser ``rr_adv[r]``
-        and the next ``rr_len[r]`` entries of ``members``. Inputs of any
-        integer dtype are stored in the collection's dtypes."""
+        """RR sets given set by set: set r has advertiser ``rr_adv[r]`` and
+        the next ``rr_len[r]`` entries of ``members``. Inputs of any integer
+        dtype are stored in the collection's dtypes."""
         cpe = np.asarray(cpe, dtype=np.float64)
-        h = len(cpe)
-        rr_ptr = _ptr(rr_len)
-        rr_adv = rr_adv.astype(_adv_dtype(h), copy=False)
-        members = members.astype(np.int32, copy=False)
-        rr = np.repeat(np.arange(len(rr_adv), dtype=np.int32), rr_len)
+        return cls(
+            n,
+            cpe,
+            rr_adv.astype(_adv_dtype(len(cpe)), copy=False),
+            _ptr(rr_len),
+            members.astype(np.int32, copy=False),
+        )
+
+    def _member_keys(self) -> np.ndarray:
+        """The key ``adv·n + node`` of each entry of ``members``."""
+        h, n = self.h, self.n
         # Cast before the multiply (a uint8 advertiser times n wraps in
         # uint16), to int32 whenever every key k = adv·n + node < h·n fits.
-        key = rr_adv[rr].astype(np.int32 if h * n < 2**31 else np.int64)
+        key = np.repeat(self.rr_adv, np.diff(self.rr_ptr)).astype(
+            np.int32 if h * n < 2**31 else np.int64
+        )
         key *= n
-        key += members
-        key_ptr = _ptr(np.bincount(key, minlength=h * n))
-        rr_ids = rr[_stable_order(key, h * n)]
-        return cls(n, cpe, rr_adv, rr_ptr, members, key_ptr, rr_ids)
+        key += self.members
+        return key
+
+    def _build_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(key_ptr, rr_ids) of the RR-major arrays: a stable sort of the
+        members by key, so each key's set ids come out increasing."""
+        bound = self.h * self.n
+        key = self._member_keys()
+        key_ptr = _ptr(np.bincount(key, minlength=bound))
+        rr = np.repeat(np.arange(self.n_rr, dtype=np.int32), np.diff(self.rr_ptr))
+        return key_ptr, rr[_stable_order(key, bound)]
+
+    def _indexed(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._index is None:
+            self._index = self._build_index()
+        return self._index
+
+    # Cached, so that after the first read each is a plain attribute:
+    # selection reads both at every coverage update.
+    @cached_property
+    def key_ptr(self) -> np.ndarray:  # (h * n + 1,) int32
+        return self._indexed()[0]
+
+    @cached_property
+    def rr_ids(self) -> np.ndarray:  # RR ids, key-major, int32
+        return self._indexed()[1]
 
     @property
     def h(self) -> int:
@@ -454,8 +489,9 @@ class RRCollection:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the collection's arrays (the index of Fig. 4)."""
-        arrays = (self.cpe, self.rr_adv, self.rr_ptr, self.members, self.key_ptr, self.rr_ids)
+        """Bytes held by the collection's arrays (the index of Fig. 4), the
+        key-major index counted only once it is built."""
+        arrays = (self.cpe, self.rr_adv, self.rr_ptr, self.members, *(self._index or ()))
         return sum(a.nbytes for a in arrays)
 
     def members_of(self, ids: np.ndarray) -> np.ndarray:
@@ -491,6 +527,21 @@ class RRCollection:
         """|{R for adv : R ∩ nodes ≠ ∅}| — advertiser adv's sets hit by nodes."""
         return len(np.unique(self.rr_ids_of(adv, nodes)))
 
+    def covered_counts(self, allocation) -> np.ndarray:
+        """Per-advertiser number of sets covered by an allocation
+        (S_1, …, S_h): a set generated for advertiser i is covered iff it
+        meets S_i. One RR-major pass that reads no index: each member looks
+        up its (set advertiser, node) pair in an (h, n) seed mask."""
+        h, n = self.h, self.n
+        seeds = np.zeros(h * n, dtype=bool)
+        for i, nodes in enumerate(allocation):
+            seeds[i * n + np.fromiter(nodes, dtype=np.int64)] = True
+        hit = np.flatnonzero(seeds[self._member_keys()])
+        # The set of member position p is the last one starting at or before
+        # p (an empty set shares its start with the next one).
+        sets = np.unique(np.searchsorted(self.rr_ptr, hit, side="right") - 1)
+        return np.bincount(self.rr_adv[sets], minlength=h)
+
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
         return np.diff(self.key_ptr).reshape(self.h, self.n)
@@ -498,29 +549,32 @@ class RRCollection:
     def merge(self, other: "RRCollection") -> "RRCollection":
         """Append ``other``'s sets after ours (progressive-sampling doubling).
 
-        Every id of ``self`` precedes every shifted id of ``other``, so each
-        key's slice is ours followed by theirs: an O(N) interleave.
+        Without an index on either side this is a concatenation. Otherwise
+        the missing side is indexed and the two interleaved: every id of
+        ``self`` precedes every shifted id of ``other``, so each key's slice
+        is ours followed by theirs, an O(N) pass.
         """
         assert self.n == other.n and self.h == other.h
         _check_members(len(self.members) + len(other.members))
-        a_cnt, b_cnt = np.diff(self.key_ptr), np.diff(other.key_ptr)
-        key_ptr = self.key_ptr + other.key_ptr
-        rr_ids = np.empty(len(self.rr_ids) + len(other.rr_ids), dtype=np.int32)
-        at = np.repeat(other.key_ptr[:-1], a_cnt)
-        at += np.arange(len(self.rr_ids), dtype=np.int32)
-        rr_ids[at] = self.rr_ids
-        at = np.repeat(self.key_ptr[1:], b_cnt)
-        at += np.arange(len(other.rr_ids), dtype=np.int32)
-        rr_ids[at] = other.rr_ids + np.int32(self.n_rr)
-        return RRCollection(
+        merged = RRCollection(
             self.n,
             self.cpe,
             np.concatenate([self.rr_adv, other.rr_adv]),
             np.concatenate([self.rr_ptr, other.rr_ptr[1:] + self.rr_ptr[-1]]),
             np.concatenate([self.members, other.members]),
-            key_ptr,
-            rr_ids,
         )
+        if self._index is None and other._index is None:
+            return merged
+        (a_ptr, a_ids), (b_ptr, b_ids) = self._indexed(), other._indexed()
+        rr_ids = np.empty(len(a_ids) + len(b_ids), dtype=np.int32)
+        at = np.repeat(b_ptr[:-1], np.diff(a_ptr))
+        at += np.arange(len(a_ids), dtype=np.int32)
+        rr_ids[at] = a_ids
+        at = np.repeat(a_ptr[1:], np.diff(b_ptr))
+        at += np.arange(len(b_ids), dtype=np.int32)
+        rr_ids[at] = b_ids + np.int32(self.n_rr)
+        merged._index = (a_ptr + b_ptr, rr_ids)
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +646,9 @@ def generate_rr_collection(
     chunk = _CHUNK  # read once: the workers use the driver's value
     n_chunks = -(-n_rr // chunk)
     if num_partitions is None:
-        num_partitions = max(1, min(sc.defaultParallelism * 2, n_chunks))
+        # One task per core: a second wave of tasks cost about 0.2 s at
+        # `local[4]`, more than it balanced (4-vCPU VM).
+        num_partitions = max(1, min(sc.defaultParallelism, n_chunks))
     if kernel == "subsim":
         csr.subsim_aux  # built once here, so the broadcast carries it
     bc = sc.broadcast((csr, cpe / cpe.sum()))

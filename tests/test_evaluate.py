@@ -1,11 +1,7 @@
 """Tests for revenue evaluation and singleton-spread estimation."""
 import pytest
 
-from repro.influence.evaluate import (
-    covered_counts,
-    evaluate_revenue,
-    singleton_spreads,
-)
+from repro.influence.evaluate import evaluate_revenue, singleton_spreads
 from repro.influence.rrset import from_memberships
 
 
@@ -24,10 +20,10 @@ def _toy_rr():
 
 def test_covered_counts():
     rr = _toy_rr()
-    assert covered_counts(rr, [{0}, set()]).tolist() == [1, 0]
-    assert covered_counts(rr, [{0}, {0}]).tolist() == [1, 1]
-    assert covered_counts(rr, [{1, 2}, {3}]).tolist() == [2, 1]
-    assert covered_counts(rr, [set(), set()]).tolist() == [0, 0]
+    assert rr.covered_counts([{0}, set()]).tolist() == [1, 0]
+    assert rr.covered_counts([{0}, {0}]).tolist() == [1, 1]
+    assert rr.covered_counts([{1, 2}, {3}]).tolist() == [2, 1]
+    assert rr.covered_counts([set(), set()]).tolist() == [0, 0]
 
 
 def test_evaluate_revenue_factor():

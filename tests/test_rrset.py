@@ -13,8 +13,13 @@ import pyspark.sql.functions as F
 
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
-from repro.influence.evaluate import singleton_spreads
+from repro.baselines import ti_carm
+from repro.baselines.ti_carm import ti_rm
 from repro.baselines.tim import rr_width
+from repro.core.rma import rm_without_oracle
+from repro.experiments.instances import build_instance
+from repro.experiments.tables import EXP
+from repro.influence.evaluate import singleton_spreads
 from repro.influence import rrset
 from repro.influence.rrset import (
     RRCollection,
@@ -459,11 +464,15 @@ def test_member_bound_is_checked(monkeypatch):
 
 
 def test_nbytes_counts_every_array():
-    """int32 members, ids and offsets, one byte per set's advertiser."""
+    """int32 members, ids and offsets, one byte per set's advertiser; the
+    key-major index counts once it is built."""
     h, n = 3, 10
     rr = from_memberships(n, [1.0, 1.0, 2.0], [(0, {0, 1}), (2, {4}), (1, {1, 5, 9})])
     n_rr, members = 3, 6
-    assert rr.nbytes == 8 * h + n_rr + 4 * (n_rr + 1) + 4 * members + 4 * (h * n + 1) + 4 * members
+    rr_major = 8 * h + n_rr + 4 * (n_rr + 1) + 4 * members
+    assert rr.nbytes == rr_major
+    rr.key_ptr  # builds the index
+    assert rr.nbytes == rr_major + 4 * (h * n + 1) + 4 * members
 
 
 def test_isolated_node_rr_is_singleton():
@@ -576,6 +585,133 @@ def test_rr_ids_for_absent_key_is_empty():
     for node, adv in ((5, 0), (0, 1), (5, 1)):
         got = rr.rr_ids_for(node, adv)
         assert isinstance(got, np.ndarray) and got.size == 0
+
+
+# ---------------------------------------------------------------------------
+# The key-major index, built on first read
+# ---------------------------------------------------------------------------
+
+
+def _random_allocation(g, h, n):
+    """Seed sets of 0–4 nodes each, drawn independently, so advertisers may
+    share nodes and some sets are empty."""
+    return [set(g.choice(n, int(g.integers(0, 5)), replace=False).tolist()) for _ in range(h)]
+
+
+@pytest.mark.parametrize("source", ["local", "spark", "merged"])
+@pytest.mark.parametrize("h", [1, 3, 300])
+def test_covered_counts_equals_per_advertiser_counts(spark, small_csr, wc_csr, h, source):
+    """The RR-major count of a whole allocation equals the index's
+    ``covered_count(i, S_i)`` for every advertiser, and builds no index.
+    h = 300 stores advertisers as uint16; h = 1 and 300 run on a one-row
+    graph."""
+    csr = small_csr if h == 3 else wc_csr
+    cpe = np.linspace(1.0, 2.0, h)
+    if source == "local":
+        rr = generate_rr_local(csr, cpe, 3000, seed=61)
+    elif source == "spark":
+        rr = generate_rr_collection(spark, csr, cpe, 3000, seed=61)
+    else:
+        rr = generate_rr_local(csr, cpe, 1800, seed=61).merge(
+            generate_rr_local(csr, cpe, 1200, seed=62)
+        )
+    g = np.random.default_rng(h)
+    allocations = [_random_allocation(g, h, csr.n) for _ in range(20)]
+    allocations += [[set()] * h, [set(range(csr.n))] * h]
+    got = [rr.covered_counts(alloc) for alloc in allocations]
+    assert rr._index is None
+    for alloc, counts in zip(allocations, got):
+        want = [rr.covered_count(i, alloc[i]) for i in range(h)]
+        assert counts.tolist() == want
+    assert got[-2].sum() == 0 and got[-1].sum() == rr.n_rr
+
+
+@pytest.mark.parametrize("algo", ["RMA", "TI-CARM", "TI-CSRM"])
+def test_index_is_built_only_for_selection_samples(monkeypatch, algo):
+    """On ``tiny``, RMA indexes each R₁ sample once and never R₂, and TI
+    indexes each θ sample once and never a KptEstimation sample (a spy on
+    the index builder, and on the generators to tell the samples apart)."""
+    inst = build_instance(None, "tiny")
+    exp = EXP["tiny"]
+    built = []
+    build = RRCollection._build_index
+
+    def spy(rr):
+        built.append(rr)
+        return build(rr)
+
+    monkeypatch.setattr(RRCollection, "_build_index", spy)
+    if algo == "RMA":
+        made = []
+        gen = inst.rr_gen(None)
+
+        def rr_gen(n_rr, seed):
+            made.append(gen(n_rr, seed))
+            return made[-1]
+
+        rm_without_oracle(
+            rr_gen, inst.costs, inst.budgets, inst.cpe, eps=0.02, rho=0.1,
+            sample_scale=exp["sample_scale"], rr_cap=exp["rr_cap"], seed=7,
+        )
+        # Asked for R₁ then R₂, then in (R₁, R₂) pairs.
+        indexed, unindexed = made[0::2], made[1::2]
+    else:
+        kpt = ti_carm.kpt_estimation
+        in_kpt = [False]
+
+        def kpt_spy(*args, **kwargs):
+            in_kpt[0] = True
+            try:
+                return kpt(*args, **kwargs)
+            finally:
+                in_kpt[0] = False
+
+        monkeypatch.setattr(ti_carm, "kpt_estimation", kpt_spy)
+        unindexed = []
+        theta = {i: [] for i in range(inst.h)}
+        gen_adv = inst.rr_gen_adv(None)
+
+        def rr_gen_adv(adv, blocks):
+            rr = gen_adv(adv, blocks)
+            (unindexed if in_kpt[0] else theta[adv]).append(rr)
+            return rr
+
+        res = ti_rm(
+            rr_gen_adv, inst.csr, inst.costs, 1.1 * inst.budgets,
+            rule="gain" if algo == "TI-CARM" else "rate",
+            sample_scale=exp["sample_scale"], rr_cap=exp["ti_cap"],
+            max_latent=exp["max_latent"], seed=11,
+        )
+        indexed = [rr for rrs in theta.values() for rr in rrs]
+        # Fig. 4's bytes: each advertiser's largest θ sample, index included.
+        assert res.index_bytes == sum(max(rr.nbytes for rr in rrs) for rrs in theta.values())
+    assert indexed and unindexed
+    assert sorted(map(id, built)) == sorted(map(id, indexed))
+    assert all(rr._index is None for rr in unindexed)
+
+
+@pytest.mark.parametrize(
+    "indexed", [(False, False), (True, False), (False, True)],
+    ids=["neither", "left", "right"],
+)
+def test_merge_then_index_equals_merging_indexes(small_csr, indexed):
+    """Merging collections with no index (a concatenation), or with one
+    side indexed, then reading the index gives the five arrays that merging
+    two indexed collections gives."""
+    def pair():
+        return [generate_rr_local(small_csr, CPE, n, seed=s) for n, s in ((700, 53), (500, 54))]
+
+    a, b = pair()
+    a.key_ptr, b.key_ptr  # build both indexes
+    want = a.merge(b)
+    a, b = pair()
+    for rr, build in zip((a, b), indexed):
+        if build:
+            rr.key_ptr
+    got = a.merge(b)
+    assert (got._index is None) == (indexed == (False, False))
+    for name in LAYOUT:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
 
 
 # ---------------------------------------------------------------------------
