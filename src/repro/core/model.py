@@ -79,6 +79,9 @@ class CoverageRevenueModel:
     """π̃(·, R) = nΓ·coverage/|R| over an RR collection."""
 
     def __init__(self, rr: RRCollection):
+        # Selection reads the key-major index at every step: build it here,
+        # so that singleton counts are read off it, not counted beside it.
+        rr._indexed()
         self.rr = rr
         self.n = rr.n
         self.h = rr.h

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
 from repro.core.model import RMProblem
-from repro.core.threshold_greedy import TGResult, threshold_greedy
+from repro.core.threshold_greedy import TGResult, fill_all, threshold_greedy
 
 
 def gamma_max(prob: RMProblem) -> float:
@@ -46,14 +45,11 @@ def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
     gamma = g1
     t1: TGResult | None = None
     t2: TGResult | None = None
-    best: TGResult | None = None
+    runs: list[TGResult] = []
     stop_floor = float(prob.cpe.min()) / (h + 6)
-    iters = 0
     while True:
-        iters += 1
         res = threshold_greedy(prob, gamma)
-        if best is None or res.pi_star > best.pi_star:
-            best = res
+        runs.append(res)
         if res.b >= b_min:
             t1, g1 = res, gamma
         else:
@@ -61,6 +57,11 @@ def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
         gamma = (g1 + g2) / 2.0
         if (1.0 + tau) * g1 >= g2 or g2 <= stop_floor:
             break
+    # The next γ depends only on the main loop's b, never on Fill, so the
+    # runs' Fills are independent: fill them all at once, then pick the
+    # first run of the highest π.
+    fill_all(runs)
+    best = max(runs, key=lambda r: r.pi_star)
     return SearchResult(
         allocation=best.allocation,
         pi_star=best.pi_star,
@@ -69,5 +70,5 @@ def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
         t2=t2,
         gamma2=g2,
         b_min=b_min,
-        n_iterations=iters,
+        n_iterations=len(runs),
     )

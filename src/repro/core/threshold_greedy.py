@@ -20,7 +20,7 @@ overshoots, and ends when all are closed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -28,20 +28,59 @@ import numpy as np
 from repro.core.celf import EPS, Ledger, presorted, rate, rates
 from repro.core.greedy import greedy
 from repro.core.model import RMProblem
+from repro.forkmap import fork_map
 
 
 @dataclass
 class TGResult:
-    allocation: list  # S⃗* after Fill
+    """ThresholdGreedy(γ)'s main loop, and its Fill on first read.
+
+    ``allocation`` and ``pi_star`` are Fill's result on ``start``: computed
+    when one of them is first read, or for many results at once, spread
+    over the driver's cores, by ``fill_all``. Fill reads only ``start``, so
+    the order in which results are filled changes nothing.
+    """
+
+    start: list  # Line 11: per advertiser the best of {S_j, D_j, A_j}
     b: int  # number of budget-depleted advertisers |I|
     s_sets: list  # S_j from the main loop
     d_sets: list  # D_j stopple singletons
     a_sets: list  # A_j from the single-depleted-advertiser Greedy call
-    pi_star: float  # π(S⃗*) under the problem's model
+    prob: RMProblem = field(repr=False)
+    filled: tuple[list, float] | None = field(default=None, repr=False)
+
+    @property
+    def allocation(self) -> list:
+        """S⃗* after Fill."""
+        return self._filled()[0]
+
+    @property
+    def pi_star(self) -> float:
+        """π(S⃗*) under the problem's model."""
+        return self._filled()[1]
+
+    def _filled(self) -> tuple[list, float]:
+        if self.filled is None:
+            self.filled = _fill_start(self.prob, self.start)
+        return self.filled
+
+
+def fill_all(results: list[TGResult]) -> None:
+    """Fill every result, through one ``fork_map``."""
+    filled = fork_map(lambda r: _fill_start(r.prob, r.start), results)
+    for r, f in zip(results, filled):
+        r.filled = f
+
+
+def _fill_start(prob: RMProblem, start) -> tuple[list, float]:
+    """(Fill's allocation, its π) from ``start``."""
+    ledger = _fill(prob, start)
+    return ledger.alloc, float(sum(ledger.pi_i(i) for i in range(prob.h)))  # = pi_alloc
 
 
 def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
-    """Run Algorithm 2 under threshold γ; returns the filled allocation."""
+    """Run Algorithm 2 under threshold γ; Fill runs when the result's
+    allocation or π is first read (``TGResult``)."""
     h = prob.h
     ledger = Ledger(prob)
     costs = ledger.costs
@@ -87,14 +126,13 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
         pi_d = float(sp[j, next(iter(d_sets[j]))]) if d_sets[j] else 0.0
         vals = [ledger.pi_i(j), pi_d, a_pi[j]]
         best.append(set(options[int(np.argmax(vals))]))
-    filled = _fill(prob, best)
     return TGResult(
-        allocation=filled.alloc,
+        start=best,
         b=len(depleted),
         s_sets=s_sets,
         d_sets=d_sets,
         a_sets=a_sets,
-        pi_star=float(sum(filled.pi_i(i) for i in range(h))),  # = pi_alloc
+        prob=prob,
     )
 
 

@@ -33,20 +33,23 @@ from repro.influence.rrset import (
 )
 
 # A single block of more expected members (sets × mean width) than this goes
-# to Spark. The fan-out's fixed cost (job launch, broadcast, collect) is
-# ~0.3 s, its per-member cost about 0.4× the driver kernel's, so the
-# crossover tracks members, not sets. Measured on a 4-vCPU VM, `local[4]`,
-# warm sessions, best of 4 (2 in each of two sessions), seconds local /
-# Spark (RDD fan-out, one task per core, raw int32 buffers; 16384 sets per
-# BFS):
+# to Spark; every other request runs on the driver, its 16384-set BFSs forked
+# over the driver's cores (`generate_rr_local`). Measured on a 4-vCPU VM,
+# seconds one-core driver (before the driver forked; best of 2) / forked
+# driver / Spark (`local[4]`, warm, RDD fan-out, one task per core, raw int32
+# buffers), the last two the best of 2 runs in each of two sessions (3M: one
+# session):
 #
-#   graph (mean width)             20K sets     100K         400K         1M           1.43M
-#   flixster_lite (4.6)            0.03 / 0.25  0.25 / 0.40  0.70 / 0.66  1.90 / 0.81  3.26 / 1.28
-#   livejournal_lite, WC (15.5)    0.15 / 0.31  0.71 / 0.62  3.01 / 1.30  7.53 / 3.00  —
+#   graph (mean width)           20K             100K            400K            1M              1.43M           3M
+#   flixster_lite (4.6)          0.03/0.04/0.25  0.14/0.07/0.30  0.58/0.21/0.53  1.51/0.49/0.77  2.26/0.75/0.99  5.29/1.39/1.77
+#   livejournal_lite, WC (15.5)  0.15/0.13/0.29  0.69/0.25/0.46  2.63/0.73/0.96  6.72/1.85/2.06  —               —
 #
-# i.e. parity at ~1.7M members on flixster and ~1.2M on the WC graph, below
-# the split on both. It stays at 2.5M: moving it moves which of RMA's
-# doublings go to Spark, a change of its own (ROADMAP item 7).
+# At `local[k]` Spark runs on the driver's own cores, so the forked driver is
+# faster at every size measured, up to 13.7M members on flixster and 15.5M on
+# the WC graph: there is no parity to move the split to. It stays at 2.5M,
+# so that the largest requests take the path that can use more cores than
+# the driver has (a cluster master); on one host that costs them the
+# fan-out's fixed cost, 0.2–0.4 s per request in the table.
 _SPARK_MIN_MEMBERS = 2_500_000
 
 

@@ -3,10 +3,10 @@
 The paper measures the revenue of every algorithm's output on 10^7 RR sets
 generated independently of the algorithms (§5.1). We do the same with a
 collection scaled to our graphs (default 10^5, see DESIGN.md). Singleton
-spreads — needed by the seed-incentive cost models — are read off a
-dedicated collection's key-major index: ``diff(key_ptr)`` counts each
-(advertiser, node) key's sets (tests check it against a Spark group-by and
-DuckDB).
+spreads — needed by the seed-incentive cost models — are counted on a
+dedicated collection: a ``bincount`` of its member keys counts each
+(advertiser, node) key's sets without building the key-major index (tests
+check it against ``diff(key_ptr)``, a Spark group-by and DuckDB).
 """
 from __future__ import annotations
 

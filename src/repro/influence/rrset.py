@@ -26,11 +26,12 @@ job is plain Spark core: no query plan, no Arrow, and no ``spark.sql.*``
 setting reaches it. A worker imports this module and ``repro.graphs``
 without pandas (imported where a DataFrame is built), which saves it about
 0.3 s on its first task. The driver-local path simulates the same ranges,
-so both return identical collections. Either way a generated collection
-only ever takes the RR-major form: per-set advertisers and lengths, and the
-members set by set, already in the collection's dtypes (int32 members, the
-smallest unsigned advertiser type); ``RRCollection`` bounds a collection to
-< 2³¹ members.
+its BFSs spread over the driver's cores by forked children
+(``repro.forkmap``), so both return identical collections. Either way a
+generated collection only ever takes the RR-major form: per-set
+advertisers and lengths, and the members set by set, already in the
+collection's dtypes (int32 members, the smallest unsigned advertiser type);
+``RRCollection`` bounds a collection to < 2³¹ members.
 
 The sets of a call, one id range or several ``(n_rr, seed)`` blocks side by
 side, run as level-synchronous reverse BFSs over up to ``_CHUNK`` (16384)
@@ -57,12 +58,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.forkmap import fork_map
 from repro.graphs.csr import CSRGraph
 
 if TYPE_CHECKING:
@@ -325,21 +327,20 @@ def _simulate(keys: np.ndarray, g: CSRGraph, cdf, kernel: str):
     return advs.astype(_adv_dtype(len(cdf))), lengths, members
 
 
-def _rr_sets(keys: np.ndarray, g: CSRGraph, cpe_w, kernel: str):
+def _rr_sets(keys: np.ndarray, g: CSRGraph, cpe_w, kernel: str, map_chunks=map):
     """(advertiser, length) of the RR set of each key and their members,
-    set by set, ``_CHUNK`` sets per BFS.
+    set by set, ``_CHUNK`` sets per BFS, the BFSs run by ``map_chunks``
+    (``map``, or ``fork_map`` to spread them over the driver's cores).
 
     A set is a pure function of (graph, cpe, kernel, key): its advertiser,
     root and every coin are fixed slots of its key's own stream. No draw
     depends on which other sets are simulated with it, so any split of the
-    keys into calls, chunks or Spark tasks returns the same sets.
+    keys into calls, chunks, processes or Spark tasks returns the same sets.
     """
     cdf = np.cumsum(cpe_w)
     cdf /= cdf[-1]
-    parts = [
-        _simulate(keys[lo : lo + _CHUNK], g, cdf, kernel)
-        for lo in range(0, len(keys), _CHUNK)
-    ]
+    chunks = [keys[lo : lo + _CHUNK] for lo in range(0, len(keys), _CHUNK)]
+    parts = list(map_chunks(partial(_simulate, g=g, cdf=cdf, kernel=kernel), chunks))
     if not parts:
         return _EMPTY, _EMPTY, _EMPTY
     return tuple(np.concatenate(col) for col in zip(*parts))
@@ -543,8 +544,13 @@ class RRCollection:
         return np.bincount(self.rr_adv[sets], minlength=h)
 
     def singleton_cover_counts(self) -> np.ndarray:
-        """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
-        return np.diff(self.key_ptr).reshape(self.h, self.n)
+        """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage:
+        ``diff(key_ptr)`` once the index is built, else a ``bincount`` of
+        the member keys, which builds none."""
+        if self._index is not None:
+            return np.diff(self.key_ptr).reshape(self.h, self.n)
+        counts = np.bincount(self._member_keys(), minlength=self.h * self.n)
+        return counts.reshape(self.h, self.n)
 
     def merge(self, other: "RRCollection") -> "RRCollection":
         """Append ``other``'s sets after ours (progressive-sampling doubling).
@@ -613,13 +619,15 @@ def generate_rr_local(
     in block order: set k of block j is set k of
     ``generate_rr_local(csr, cpe, n_j, seed=s_j)``. The blocks share each
     ``_CHUNK``-set BFS, so many small blocks pay the per-level cost of one.
+    A request of more than one BFS spreads them over the driver's cores
+    (``fork_map``); a one-chunk request runs inline.
     """
     cpe = np.asarray(cpe, dtype=np.float64)
     blocks = n_rr if seed is None else [(n_rr, seed)]
     keys = np.concatenate(
         [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in blocks]
     )
-    sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel)
+    sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel, fork_map)
     return RRCollection.from_sets(csr.n, cpe, *sets)
 
 

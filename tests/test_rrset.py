@@ -598,23 +598,28 @@ def _random_allocation(g, h, n):
     return [set(g.choice(n, int(g.integers(0, 5)), replace=False).tolist()) for _ in range(h)]
 
 
+def _unindexed(spark, small_csr, wc_csr, h, source):
+    """3000 sets for h advertisers, unindexed, made locally, on Spark or by
+    merging two local collections. h = 300 stores advertisers as uint16;
+    h = 1 and 300 run on a one-row graph."""
+    csr = small_csr if h == 3 else wc_csr
+    cpe = np.linspace(1.0, 2.0, h)
+    if source == "local":
+        return generate_rr_local(csr, cpe, 3000, seed=61)
+    if source == "spark":
+        return generate_rr_collection(spark, csr, cpe, 3000, seed=61)
+    return generate_rr_local(csr, cpe, 1800, seed=61).merge(
+        generate_rr_local(csr, cpe, 1200, seed=62)
+    )
+
+
 @pytest.mark.parametrize("source", ["local", "spark", "merged"])
 @pytest.mark.parametrize("h", [1, 3, 300])
 def test_covered_counts_equals_per_advertiser_counts(spark, small_csr, wc_csr, h, source):
     """The RR-major count of a whole allocation equals the index's
-    ``covered_count(i, S_i)`` for every advertiser, and builds no index.
-    h = 300 stores advertisers as uint16; h = 1 and 300 run on a one-row
-    graph."""
+    ``covered_count(i, S_i)`` for every advertiser, and builds no index."""
+    rr = _unindexed(spark, small_csr, wc_csr, h, source)
     csr = small_csr if h == 3 else wc_csr
-    cpe = np.linspace(1.0, 2.0, h)
-    if source == "local":
-        rr = generate_rr_local(csr, cpe, 3000, seed=61)
-    elif source == "spark":
-        rr = generate_rr_collection(spark, csr, cpe, 3000, seed=61)
-    else:
-        rr = generate_rr_local(csr, cpe, 1800, seed=61).merge(
-            generate_rr_local(csr, cpe, 1200, seed=62)
-        )
     g = np.random.default_rng(h)
     allocations = [_random_allocation(g, h, csr.n) for _ in range(20)]
     allocations += [[set()] * h, [set(range(csr.n))] * h]
@@ -624,6 +629,29 @@ def test_covered_counts_equals_per_advertiser_counts(spark, small_csr, wc_csr, h
         want = [rr.covered_count(i, alloc[i]) for i in range(h)]
         assert counts.tolist() == want
     assert got[-2].sum() == 0 and got[-1].sum() == rr.n_rr
+
+
+@pytest.mark.parametrize("source", ["local", "spark", "merged"])
+@pytest.mark.parametrize("h", [1, 3, 300])
+def test_singleton_counts_without_index_equal_index_diff(spark, small_csr, wc_csr, h, source):
+    """Without an index, ``singleton_cover_counts`` counts member keys and
+    builds none; the counts equal ``diff(key_ptr)``, which it reads once the
+    index is built."""
+    rr = _unindexed(spark, small_csr, wc_csr, h, source)
+    counts = rr.singleton_cover_counts()
+    assert rr._index is None
+    assert counts.shape == (h, rr.n) and counts.sum() == len(rr.members)
+    assert np.array_equal(counts, np.diff(rr.key_ptr).reshape(h, rr.n))
+    assert np.array_equal(rr.singleton_cover_counts(), counts)
+
+
+def test_build_instance_indexes_nothing(monkeypatch):
+    """The σ collection is only counted: building an instance builds no
+    key-major index."""
+    built = []
+    monkeypatch.setattr(RRCollection, "_build_index", lambda rr: built.append(rr))
+    build_instance(None, "tiny")
+    assert built == []
 
 
 @pytest.mark.parametrize("algo", ["RMA", "TI-CARM", "TI-CSRM"])
