@@ -140,10 +140,12 @@ def ti_rm(
     alloc = [set() for _ in range(h)]
 
     def coverage(i):
-        """Coverage state of S_i on advertiser i's current sample. Building
-        it indexes the sample, so its bytes are read after."""
+        """Coverage state of S_i on advertiser i's current sample. The
+        sample is indexed here, whether or not a seed reads it, so its
+        bytes (Fig. 4) count the index."""
         s = samples[i]
         state = CoverageRevenueModel(s.rr).state([()] * i + [alloc[i]])
+        s.rr.build_index()
         s.peak_bytes = max(s.peak_bytes, s.rr.nbytes)
         return state
 

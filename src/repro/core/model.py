@@ -41,7 +41,7 @@ class _CoverageState:
         self.factor = model.factor
         rr = model.rr
         self.covered = np.zeros(rr.n_rr, dtype=bool)
-        self.uncovered = rr.singleton_cover_counts().astype(np.int64)  # (h, n)
+        self.uncovered = model.singleton_counts().astype(np.int64)  # (h, n), a copy
         self.cov_count = [0] * model.h
         if allocation is not None:
             for i, seeds in enumerate(allocation):
@@ -79,21 +79,23 @@ class CoverageRevenueModel:
     """π̃(·, R) = nΓ·coverage/|R| over an RR collection."""
 
     def __init__(self, rr: RRCollection):
-        # Selection reads the key-major index at every step: build it here,
-        # so that singleton counts are read off it, not counted beside it.
-        rr._indexed()
         self.rr = rr
         self.n = rr.n
         self.h = rr.h
         self.cpe = rr.cpe
         self.factor = rr.factor
+        self._counts = None
         self._singleton = None
+
+    def singleton_counts(self) -> np.ndarray:  # (h, n) of |{R of i ∋ u}|
+        """Counted once per model: every coverage state starts from a copy."""
+        if self._counts is None:
+            self._counts = self.rr.singleton_cover_counts()
+        return self._counts
 
     def singleton_pi(self) -> np.ndarray:  # (h, n) of π̃_i({u})
         if self._singleton is None:
-            self._singleton = (
-                self.rr.singleton_cover_counts().astype(np.float64) * self.factor
-            )
+            self._singleton = self.singleton_counts().astype(np.float64) * self.factor
         return self._singleton
 
     def pi_of(self, i: int, nodes) -> float:  # stateless π̃_i(S)

@@ -29,8 +29,10 @@ class SearchResult:
     allocation: list  # S⃗* — best over all tested thresholds
     pi_star: float
     t1: TGResult | None  # ThresholdGreedy(γ₁) with b₁ ≥ b_min
+    pi1: float | None  # π(T⃗₁*), its π after Fill
     gamma1: float
     t2: TGResult | None  # ThresholdGreedy(γ₂) with b₂ < b_min
+    pi2: float | None  # π(T⃗₂*)
     gamma2: float
     b_min: int
     n_iterations: int
@@ -43,31 +45,34 @@ def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
     g2 = (1.0 + tau) * gamma_max(prob)
     g1 = 0.0
     gamma = g1
-    t1: TGResult | None = None
-    t2: TGResult | None = None
+    j1: int | None = None  # runs[j1] is T₁, runs[j2] is T₂
+    j2: int | None = None
     runs: list[TGResult] = []
     stop_floor = float(prob.cpe.min()) / (h + 6)
     while True:
         res = threshold_greedy(prob, gamma)
-        runs.append(res)
         if res.b >= b_min:
-            t1, g1 = res, gamma
+            j1, g1 = len(runs), gamma
         else:
-            t2, g2 = res, gamma
+            j2, g2 = len(runs), gamma
+        runs.append(res)
         gamma = (g1 + g2) / 2.0
         if (1.0 + tau) * g1 >= g2 or g2 <= stop_floor:
             break
     # The next γ depends only on the main loop's b, never on Fill, so the
     # runs' Fills are independent: fill them all at once, then pick the
     # first run of the highest π.
-    fill_all(runs)
-    best = max(runs, key=lambda r: r.pi_star)
+    filled = fill_all(prob, [r.start for r in runs])
+    pis = [pi for _, pi in filled]
+    best = pis.index(max(pis))
     return SearchResult(
-        allocation=best.allocation,
-        pi_star=best.pi_star,
-        t1=t1,
+        allocation=filled[best][0],
+        pi_star=pis[best],
+        t1=None if j1 is None else runs[j1],
+        pi1=None if j1 is None else pis[j1],
         gamma1=g1,
-        t2=t2,
+        t2=None if j2 is None else runs[j2],
+        pi2=None if j2 is None else pis[j2],
         gamma2=g2,
         b_min=b_min,
         n_iterations=len(runs),

@@ -22,13 +22,13 @@ def seek_ub(res: OracleResult, lam: float) -> float:
     if b1 < sr.b_min:
         # Search degenerated at γ=0: T₂* = ThresholdGreedy(0), b₂ < b_min.
         if sr.t2 is not None:
-            z = 6.0 * sr.t2.pi_star
+            z = 6.0 * sr.pi2
     elif sr.t2 is not None:
         if sr.t2.b == 0:
-            z = 2.0 * sr.t2.pi_star + h * sr.gamma2
+            z = 2.0 * sr.pi2 + h * sr.gamma2
         elif sr.t2.b == 1:
-            z = 6.0 * sr.t2.pi_star + h * sr.gamma2
+            z = 6.0 * sr.pi2 + h * sr.gamma2
     else:
         # b₁ ≥ b_min and the upper endpoint was never run: γ₁ is near γ_max.
-        z = sr.t1.pi_star / lam
+        z = sr.pi1 / lam
     return min(z, trivial)

@@ -20,7 +20,8 @@ overshoots, and ends when all are closed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -33,43 +34,33 @@ from repro.forkmap import fork_map
 
 @dataclass
 class TGResult:
-    """ThresholdGreedy(γ)'s main loop, and its Fill on first read.
-
-    ``allocation`` and ``pi_star`` are Fill's result on ``start``: computed
-    when one of them is first read, or for many results at once, spread
-    over the driver's cores, by ``fill_all``. Fill reads only ``start``, so
-    the order in which results are filled changes nothing.
-    """
+    """ThresholdGreedy(γ)'s main loop; Fill on ``start`` completes it
+    (``fill``, or ``fill_all`` for many runs at once)."""
 
     start: list  # Line 11: per advertiser the best of {S_j, D_j, A_j}
     b: int  # number of budget-depleted advertisers |I|
     s_sets: list  # S_j from the main loop
     d_sets: list  # D_j stopple singletons
     a_sets: list  # A_j from the single-depleted-advertiser Greedy call
-    prob: RMProblem = field(repr=False)
-    filled: tuple[list, float] | None = field(default=None, repr=False)
-
-    @property
-    def allocation(self) -> list:
-        """S⃗* after Fill."""
-        return self._filled()[0]
-
-    @property
-    def pi_star(self) -> float:
-        """π(S⃗*) under the problem's model."""
-        return self._filled()[1]
-
-    def _filled(self) -> tuple[list, float]:
-        if self.filled is None:
-            self.filled = _fill_start(self.prob, self.start)
-        return self.filled
 
 
-def fill_all(results: list[TGResult]) -> None:
-    """Fill every result, through one ``fork_map``."""
-    filled = fork_map(lambda r: _fill_start(r.prob, r.start), results)
-    for r, f in zip(results, filled):
-        r.filled = f
+# Fill's work grows with the problem's h·n candidate elements. Below this
+# many, forking the Fills costs more than it saves: a Search's 5–6 Fills
+# inline against forked over 4 vCPUs, min of 3, on `lastfm_lite`-shaped
+# graphs of n = 150 / 300 / 600 / 1300 (h = 10): forked/inline 0.94–3.25 /
+# 0.75–0.87 / 0.64–0.67 / 0.54, and 5.4–7.1 on `tiny` (h·n = 180).
+_FORK_MIN_ELEMENTS = 3000
+
+
+def fill_all(prob: RMProblem, starts: list) -> list[tuple[list, float]]:
+    """(Fill's allocation, its π) from each start. Fill reads only its
+    start, so the starts are independent: a problem of at least
+    ``_FORK_MIN_ELEMENTS`` elements fills them over the driver's cores
+    (``fork_map``), a smaller one inline; the results are the same."""
+    one = partial(_fill_start, prob)
+    if prob.h * prob.n >= _FORK_MIN_ELEMENTS:
+        return fork_map(one, starts)
+    return [one(start) for start in starts]
 
 
 def _fill_start(prob: RMProblem, start) -> tuple[list, float]:
@@ -79,8 +70,8 @@ def _fill_start(prob: RMProblem, start) -> tuple[list, float]:
 
 
 def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
-    """Run Algorithm 2 under threshold γ; Fill runs when the result's
-    allocation or π is first read (``TGResult``)."""
+    """Run Algorithm 2's main loop under threshold γ (lines 1–11); Fill
+    (line 12) is left to the caller."""
     h = prob.h
     ledger = Ledger(prob)
     costs = ledger.costs
@@ -132,7 +123,6 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
         s_sets=s_sets,
         d_sets=d_sets,
         a_sets=a_sets,
-        prob=prob,
     )
 
 

@@ -9,12 +9,14 @@ Building an instance runs edge generation, TIC/WC probability mixing and
 CSR assembly on the driver (numpy), then reads the mean RR-set size off one
 ``_CHUNK`` of sets made on the driver, then estimates singleton spreads from
 a dedicated RR collection (on the driver, or a Spark RDD fan-out for large
-ones), then attaches the seed-incentive costs. Only that RR collection can
-start a Spark job. The mean size (``Instance.width``) routes every later RR
-request of the instance to the driver or to Spark.
+ones when Spark has more cores than the driver), then attaches the
+seed-incentive costs. Only that RR collection can start a Spark job. The
+mean size (``Instance.width``) routes every later RR request of the
+instance: inline or forked on the driver, or to Spark.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,25 +34,41 @@ from repro.influence.rrset import (
     generate_rr_local,
 )
 
-# A single block of more expected members (sets × mean width) than this goes
-# to Spark; every other request runs on the driver, its 16384-set BFSs forked
-# over the driver's cores (`generate_rr_local`). Measured on a 4-vCPU VM,
-# seconds one-core driver (before the driver forked; best of 2) / forked
-# driver / Spark (`local[4]`, warm, RDD fan-out, one task per core, raw int32
-# buffers), the last two the best of 2 runs in each of two sessions (3M: one
-# session):
+# Where a request runs, by its expected members (sets × the instance's mean
+# RR-set width). Seconds on a 4-vCPU VM: one-core driver (best of 2) /
+# driver forked over 4 cores / Spark (`local[4]`, warm, RDD fan-out, one
+# task per core, raw int32 buffers), the last two the best of 2 runs in
+# each of two sessions (3M: one session):
 #
 #   graph (mean width)           20K             100K            400K            1M              1.43M           3M
 #   flixster_lite (4.6)          0.03/0.04/0.25  0.14/0.07/0.30  0.58/0.21/0.53  1.51/0.49/0.77  2.26/0.75/0.99  5.29/1.39/1.77
 #   livejournal_lite, WC (15.5)  0.15/0.13/0.29  0.69/0.25/0.46  2.63/0.73/0.96  6.72/1.85/2.06  —               —
 #
-# At `local[k]` Spark runs on the driver's own cores, so the forked driver is
-# faster at every size measured, up to 13.7M members on flixster and 15.5M on
-# the WC graph: there is no parity to move the split to. It stays at 2.5M,
-# so that the largest requests take the path that can use more cores than
-# the driver has (a cluster master); on one host that costs them the
-# fan-out's fixed cost, 0.2–0.4 s per request in the table.
+# A request goes to Spark only when Spark has more cores than the driver
+# may use (``_spark_outnumbers_driver``) and it holds more than
+# ``_SPARK_MIN_MEMBERS``. When Spark's cores are the driver's own (every
+# `local[k]` master with k ≤ the driver's CPUs), the forked driver is faster
+# at every size measured, up to 13.7M members on flixster and 15.5M on the
+# WC graph. The one configuration measured in which Spark had more cores, a
+# one-core driver against `local[4]` (first of each triple), reaches parity
+# at ~1.7M members on flixster and ~1.2M on the WC graph, below the split.
 _SPARK_MIN_MEMBERS = 2_500_000
+
+# A driver request of at least this many expected members forks its
+# 16384-set BFSs over the driver's cores; a smaller one runs inline, as
+# forking and reaping the children costs more than it saves. Forked/inline
+# time, min of 7 alternating runs, 4-vCPU VM, at 125K / 150K / 200K members:
+# tiny (width 1.26) 1.22 / 0.89 / 0.79, lastfm_lite (1.44) 1.01 / 0.80 / 0.65,
+# flixster_lite (4.39) 0.93 / 0.78 / 0.62, dblp_lite (6.93) 1.07 / 0.90 / 0.71.
+_FORK_MIN_MEMBERS = 150_000
+
+
+def _spark_outnumbers_driver(spark) -> bool:
+    """Whether Spark has more cores than the driver may fork over."""
+    return (
+        spark is not None
+        and spark.sparkContext.defaultParallelism > len(os.sched_getaffinity(0))
+    )
 
 
 def _generate(spark, csr, cpe, blocks, width, kernel="standard") -> RRCollection:
@@ -58,14 +76,22 @@ def _generate(spark, csr, cpe, blocks, width, kernel="standard") -> RRCollection
     ``blocks`` in turn, as ``generate_rr_local`` numbers them, in one call.
 
     A single block whose expected members (sets × ``width``, the instance's
-    mean RR-set size) exceed ``_SPARK_MIN_MEMBERS`` runs on Spark; every
-    other request, a block list of any size included (Spark takes one seed
-    range), runs on the driver. Both paths return the same collection.
+    mean RR-set size) exceed ``_SPARK_MIN_MEMBERS`` runs on Spark if Spark
+    outnumbers the driver's cores; every other request, a block list of any
+    size included (Spark takes one seed range), runs on the driver, forked
+    from ``_FORK_MIN_MEMBERS``. Every path returns the same collection.
     """
-    if len(blocks) == 1 and blocks[0][0] * width > _SPARK_MIN_MEMBERS:
+    members = sum(n for n, _ in blocks) * width
+    if (
+        len(blocks) == 1
+        and members > _SPARK_MIN_MEMBERS
+        and _spark_outnumbers_driver(spark)
+    ):
         [(n_rr, seed)] = blocks
         return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
-    return generate_rr_local(csr, cpe, blocks, kernel=kernel)
+    return generate_rr_local(
+        csr, cpe, blocks, kernel=kernel, fork=members >= _FORK_MIN_MEMBERS
+    )
 
 
 # Paper Table 2 (LastFM at native scale; Flixster budgets at 1/10, 6K–20K →

@@ -26,7 +26,7 @@ job is plain Spark core: no query plan, no Arrow, and no ``spark.sql.*``
 setting reaches it. A worker imports this module and ``repro.graphs``
 without pandas (imported where a DataFrame is built), which saves it about
 0.3 s on its first task. The driver-local path simulates the same ranges,
-its BFSs spread over the driver's cores by forked children
+a large request's BFSs spread over the driver's cores by forked children
 (``repro.forkmap``), so both return identical collections. Either way a
 generated collection only ever takes the RR-major form: per-set
 advertisers and lengths, and the members set by set, already in the
@@ -457,6 +457,11 @@ class RRCollection:
             self._index = self._build_index()
         return self._index
 
+    def build_index(self) -> None:
+        """Build the key-major index now if it is not built (reading
+        ``key_ptr`` or ``rr_ids`` builds it on demand)."""
+        self._indexed()
+
     # Cached, so that after the first read each is a plain attribute:
     # selection reads both at every coverage update.
     @cached_property
@@ -545,10 +550,7 @@ class RRCollection:
 
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage:
-        ``diff(key_ptr)`` once the index is built, else a ``bincount`` of
-        the member keys, which builds none."""
-        if self._index is not None:
-            return np.diff(self.key_ptr).reshape(self.h, self.n)
+        a ``bincount`` of the member keys, which reads no index."""
         counts = np.bincount(self._member_keys(), minlength=self.h * self.n)
         return counts.reshape(self.h, self.n)
 
@@ -609,6 +611,7 @@ def generate_rr_local(
     *,
     seed: int | None = None,
     kernel: str = "standard",
+    fork: bool = False,
 ) -> RRCollection:
     """Driver-only generation of RR sets, renumbered from 0, with no Spark
     job.
@@ -619,15 +622,16 @@ def generate_rr_local(
     in block order: set k of block j is set k of
     ``generate_rr_local(csr, cpe, n_j, seed=s_j)``. The blocks share each
     ``_CHUNK``-set BFS, so many small blocks pay the per-level cost of one.
-    A request of more than one BFS spreads them over the driver's cores
-    (``fork_map``); a one-chunk request runs inline.
+    With ``fork`` the BFSs are spread over the driver's cores
+    (``fork_map``), which pays only for enough work: ``instances._generate``
+    sets it from a request's expected members. The sets do not change.
     """
     cpe = np.asarray(cpe, dtype=np.float64)
     blocks = n_rr if seed is None else [(n_rr, seed)]
     keys = np.concatenate(
         [np.empty(0, dtype=np.uint64)] + [_set_keys(s, 0, n) for n, s in blocks]
     )
-    sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel, fork_map)
+    sets = _rr_sets(keys, csr, cpe / cpe.sum(), kernel, fork_map if fork else map)
     return RRCollection.from_sets(csr.n, cpe, *sets)
 
 

@@ -217,7 +217,7 @@ def test_threshold_greedy_matches_eager(seed, gamma_frac):
     assert res.d_sets == ref["d_sets"]
     assert res.a_sets == ref["a_sets"]
     assert res.b == ref["b"]
-    assert res.allocation == ref["allocation"]
+    assert fill(prob, res.start) == ref["allocation"]
 
 
 def _singleton_rates(prob):
@@ -245,7 +245,7 @@ def test_threshold_greedy_at_prefilter_edges_matches_eager(seed, at):
     assert (res.s_sets, res.d_sets, res.a_sets, res.b) == (
         ref["s_sets"], ref["d_sets"], ref["a_sets"], ref["b"]
     )
-    assert res.allocation == ref["allocation"]
+    assert fill(prob, res.start) == ref["allocation"]
     if at == "above_all":
         assert not any(res.s_sets) and not any(res.d_sets)
 
@@ -262,7 +262,7 @@ def test_threshold_greedy_single_depleted_path_matches_eager():
             hits += 1
             ref = eager_threshold_greedy(prob, gamma_frac * float(prob.budgets.min()))
             assert res.a_sets == ref["a_sets"]
-            assert res.allocation == ref["allocation"]
+            assert fill(prob, res.start) == ref["allocation"]
     assert hits >= 3
 
 

@@ -1,14 +1,21 @@
 """``fork_map``: results in item order, errors and children accounted for,
 and RMA's output independent of how many cores the driver forks over."""
+import importlib
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.rma import rm_without_oracle
-from repro.experiments.instances import build_instance
+from repro.experiments.instances import PRESETS, _graph_and_probs, build_instance
 from repro.experiments.tables import EXP
 from repro.forkmap import fork_map
+from repro.graphs.csr import build_csr
+from repro.influence.rrset import _CHUNK, generate_rr_local
+
+from tests.helpers import random_coverage_problem
+
+tg = importlib.import_module("repro.core.threshold_greedy")
 
 CPUS = 4
 
@@ -92,6 +99,37 @@ def test_one_cpu_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert fork_map(_square, range(9)) == [x * x for x in range(9)]
+
+
+@pytest.mark.parametrize("preset, kernel", [("tiny", "standard"), ("dblp_lite", "subsim")])
+def test_forked_generation_equals_inline(forks, preset, kernel):
+    """RR chunks simulated in forked children give the inline collection,
+    array for array: a 3-chunk count and a block list over two chunks."""
+    cfg = PRESETS[preset]
+    src, dst, probs = _graph_and_probs(cfg)
+    csr = build_csr(cfg["n"], src, dst, probs)
+    cpe = np.linspace(1.0, 2.0, cfg["h"])
+    for n_rr, seed in ((2 * _CHUNK + 5, 3), ([(_CHUNK, 4), (900, 5), (7, 4)], None)):
+        got = generate_rr_local(csr, cpe, n_rr, seed=seed, kernel=kernel, fork=True)
+        want = generate_rr_local(csr, cpe, n_rr, seed=seed, kernel=kernel)
+        for name in ("rr_adv", "rr_ptr", "members", "key_ptr", "rr_ids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert len(forks) == 3 + 2 and all(_reaped(pid) for pid in forks)
+
+
+@pytest.mark.parametrize("min_elements", [0, 10**9])
+def test_fill_all_forks_only_from_the_element_threshold(forks, monkeypatch, min_elements):
+    """Fill's results are the same inline and forked; ``fill_all`` forks
+    exactly when the problem has ``_FORK_MIN_ELEMENTS`` elements."""
+    monkeypatch.setattr(tg, "_FORK_MIN_ELEMENTS", min_elements)
+    prob = random_coverage_problem(3, n=9, h=3, n_rr=80)
+    starts = [tg.threshold_greedy(prob, g).start for g in (0.0, 0.2, 0.5)]
+    got = tg.fill_all(prob, starts)
+    assert got == [tg._fill_start(prob, s) for s in starts]
+    assert [a for a, _ in got] == [tg.fill(prob, s) for s in starts]
+    assert len(forks) == (3 if min_elements == 0 else 0)
+    assert all(_reaped(pid) for pid in forks)
 
 
 @pytest.mark.parametrize("preset", ["lastfm_lite", "flixster_lite"])

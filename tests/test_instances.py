@@ -1,4 +1,7 @@
 """Tests for dataset presets and instance assembly."""
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,18 +116,60 @@ def _assert_same_collection(got, want):
 def test_generate_dispatch_returns_the_same_collection(
     spark, tiny_inst, monkeypatch, n_rr, min_members
 ):
-    """The local/Spark choice changes speed only: a single block goes to
-    Spark in one call when its expected members (sets × the instance's
-    width) pass the threshold, to the driver in one call otherwise, and
-    either way the collection equals the driver's."""
+    """The local/Spark choice changes speed only: with Spark wider than the
+    driver, a single block goes to Spark in one call when its expected
+    members (sets × the instance's width) pass the threshold, to the driver
+    in one call otherwise, and either way the collection equals the
+    driver's."""
     calls = _spy_paths(monkeypatch)
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
+    monkeypatch.setattr(instances, "_spark_outnumbers_driver", lambda spark: True)
     inst = tiny_inst
     got = instances._generate(spark, inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
     assert calls == ["spark" if n_rr * inst.width > min_members else "local"]
     want = generate_rr_local(inst.csr, inst.cpe, n_rr, seed=17)
     assert got.n_rr == n_rr
     _assert_same_collection(got, want)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4, 5])
+def test_spark_runs_a_request_only_with_more_cores_than_the_driver(
+    tiny_inst, monkeypatch, parallelism
+):
+    """A request over the split goes to Spark only when Spark's default
+    parallelism exceeds the CPUs the driver may fork over (here 4), and to
+    the driver otherwise; without a session it always runs on the driver."""
+    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    fake = SimpleNamespace(sparkContext=SimpleNamespace(defaultParallelism=parallelism))
+    assert instances._spark_outnumbers_driver(fake) == (parallelism > 4)
+    assert not instances._spark_outnumbers_driver(None)
+    calls = _spy_paths(monkeypatch)
+    monkeypatch.setattr(instances, "generate_rr_collection", lambda *a, **kw: "spark")
+    inst = tiny_inst
+    got = instances._generate(fake, inst.csr, inst.cpe, [(700, 17)], inst.width)
+    if parallelism > 4:
+        assert got == "spark" and calls == []
+    else:
+        assert calls == ["local"] and got.n_rr == 700
+
+
+@pytest.mark.parametrize("n_rr", [1000, 40_000, 150_000])
+def test_driver_forks_a_request_only_from_the_member_threshold(tiny_inst, monkeypatch, n_rr):
+    """``_generate`` asks the driver to fork exactly when a request's
+    expected members reach ``_FORK_MIN_MEMBERS``."""
+    forks = []
+    real = instances.generate_rr_local
+
+    def spy(*a, fork=False, **kw):
+        forks.append(fork)
+        return real(*a, fork=fork, **kw)
+
+    monkeypatch.setattr(instances, "generate_rr_local", spy)
+    inst = tiny_inst
+    got = instances._generate(None, inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
+    assert got.n_rr == n_rr
+    assert forks == [n_rr * inst.width >= instances._FORK_MIN_MEMBERS]
 
 
 # block list -> what every list of blocks must be: one driver call

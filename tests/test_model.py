@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.greedy import greedy
 from repro.core.model import CoverageRevenueModel, brute_force_opt
-from repro.core.threshold_greedy import threshold_greedy
+from repro.core.threshold_greedy import fill_all, threshold_greedy
 from repro.influence.rrset import from_memberships
 
 from tests.helpers import random_coverage_problem
@@ -141,4 +141,5 @@ def test_selection_pi_equals_model_pi(seed):
         assert res.pi_star == prob.model.pi_of(i, res.seeds)
     for frac in (0.0, 0.1, 0.5):
         res = threshold_greedy(prob, frac * float(prob.budgets.min()))
-        assert res.pi_star == prob.model.pi_alloc(res.allocation)
+        [(allocation, pi)] = fill_all(prob, [res.start])
+        assert pi == prob.model.pi_alloc(allocation)

@@ -634,9 +634,9 @@ def test_covered_counts_equals_per_advertiser_counts(spark, small_csr, wc_csr, h
 @pytest.mark.parametrize("source", ["local", "spark", "merged"])
 @pytest.mark.parametrize("h", [1, 3, 300])
 def test_singleton_counts_without_index_equal_index_diff(spark, small_csr, wc_csr, h, source):
-    """Without an index, ``singleton_cover_counts`` counts member keys and
-    builds none; the counts equal ``diff(key_ptr)``, which it reads once the
-    index is built."""
+    """``singleton_cover_counts`` counts member keys and builds no index;
+    the counts equal the index's ``diff(key_ptr)``, and are the same again
+    once the index is built."""
     rr = _unindexed(spark, small_csr, wc_csr, h, source)
     counts = rr.singleton_cover_counts()
     assert rr._index is None

@@ -73,9 +73,9 @@ def test_search_stop_condition(seed):
 def test_search_best_at_least_endpoints(seed):
     prob = random_coverage_problem(seed, n=7, h=2, n_rr=30)
     res = search(prob, 0.1, 1)
-    for t in (res.t1, res.t2):
-        if t is not None:
-            assert res.pi_star >= t.pi_star - 1e-12
+    for pi in (res.pi1, res.pi2):
+        if pi is not None:
+            assert res.pi_star >= pi - 1e-12
 
 
 @pytest.mark.parametrize("seed", range(15))

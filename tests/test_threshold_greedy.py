@@ -19,14 +19,15 @@ def test_theorem_3_2_cases(seed, gamma_frac):
     prob = random_coverage_problem(seed, n=7, h=2, n_rr=30)
     gamma = gamma_frac * float(prob.budgets.min())
     res = threshold_greedy(prob, gamma)
+    pi = prob.model.pi_alloc(fill(prob, res.start))
     opt, _ = brute_force_opt(prob)
     h = prob.h
     if res.b >= 2:
-        assert res.pi_star >= res.b * gamma / 2.0 - 1e-9
+        assert pi >= res.b * gamma / 2.0 - 1e-9
     elif res.b == 1:
-        assert res.pi_star >= max((opt - h * gamma) / 6.0, gamma / 2.0) - 1e-9
+        assert pi >= max((opt - h * gamma) / 6.0, gamma / 2.0) - 1e-9
     else:
-        assert res.pi_star >= (opt - h * gamma) / 2.0 - 1e-9
+        assert pi >= (opt - h * gamma) / 2.0 - 1e-9
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -47,7 +48,7 @@ def test_allocation_valid(seed):
     """Disjoint seed sets; every advertiser within budget (model space)."""
     prob = random_coverage_problem(seed, n=8, h=3, n_rr=40)
     res = threshold_greedy(prob, 0.2 * float(prob.budgets.min()))
-    assert prob.is_feasible(res.allocation)
+    assert prob.is_feasible(fill(prob, res.start))
 
 
 @pytest.mark.parametrize("seed", range(10))
