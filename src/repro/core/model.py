@@ -85,7 +85,6 @@ class CoverageRevenueModel:
         self.cpe = rr.cpe
         self.factor = rr.factor
         self._counts = None
-        self._singleton = None
 
     def singleton_counts(self) -> np.ndarray:  # (h, n) of |{R of i ∋ u}|
         """Counted once per model: every coverage state starts from a copy."""
@@ -94,9 +93,8 @@ class CoverageRevenueModel:
         return self._counts
 
     def singleton_pi(self) -> np.ndarray:  # (h, n) of π̃_i({u})
-        if self._singleton is None:
-            self._singleton = self.singleton_counts().astype(np.float64) * self.factor
-        return self._singleton
+        # Not cached: the model keeps one (h, n) array, the counts.
+        return self.singleton_counts() * self.factor
 
     def pi_of(self, i: int, nodes) -> float:  # stateless π̃_i(S)
         return float(self.rr.covered_count(i, nodes)) * self.factor
