@@ -141,11 +141,11 @@ def ti_rm(
 
     def coverage(i):
         """Coverage state of S_i on advertiser i's current sample. The
-        sample is indexed here, whether or not a seed reads it, so its
+        sample is indexed first, whether or not a seed reads it, so its
         bytes (Fig. 4) count the index."""
         s = samples[i]
-        state = CoverageRevenueModel(s.rr).state([()] * i + [alloc[i]])
         s.rr.build_index()
+        state = CoverageRevenueModel(s.rr).state([()] * i + [alloc[i]])
         s.peak_bytes = max(s.peak_bytes, s.rr.nbytes)
         return state
 
