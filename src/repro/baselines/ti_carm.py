@@ -140,11 +140,9 @@ def ti_rm(
     alloc = [set() for _ in range(h)]
 
     def coverage(i):
-        """Coverage state of S_i on advertiser i's current sample. The
-        sample is indexed first, whether or not a seed reads it, so its
-        bytes (Fig. 4) count the index."""
+        """Coverage state of S_i on advertiser i's current sample. Building
+        it indexes the sample, so its bytes are read after."""
         s = samples[i]
-        s.rr.build_index()
         state = CoverageRevenueModel(s.rr).state([()] * i + [alloc[i]])
         s.peak_bytes = max(s.peak_bytes, s.rr.nbytes)
         return state

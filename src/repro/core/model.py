@@ -84,17 +84,19 @@ class CoverageRevenueModel:
         self.h = rr.h
         self.cpe = rr.cpe
         self.factor = rr.factor
-        self._counts = None
+        self._singleton = None
 
     def singleton_counts(self) -> np.ndarray:  # (h, n) of |{R of i ∋ u}|
-        """Counted once per model: every coverage state starts from a copy."""
-        if self._counts is None:
-            self._counts = self.rr.singleton_cover_counts()
-        return self._counts
+        """Read off the key-major index, which selection reads anyway, in
+        O(h·n). ``rr.singleton_cover_counts`` counts every member instead:
+        on the 100 models of a `lastfm_lite` TI cell that added 15 ms to
+        its 1.0 s of CPU."""
+        return np.diff(self.rr.key_ptr).reshape(self.h, self.n)
 
     def singleton_pi(self) -> np.ndarray:  # (h, n) of π̃_i({u})
-        # Not cached: the model keeps one (h, n) array, the counts.
-        return self.singleton_counts() * self.factor
+        if self._singleton is None:
+            self._singleton = self.singleton_counts().astype(np.float64) * self.factor
+        return self._singleton
 
     def pi_of(self, i: int, nodes) -> float:  # stateless π̃_i(S)
         return float(self.rr.covered_count(i, nodes)) * self.factor

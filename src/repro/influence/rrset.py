@@ -457,11 +457,6 @@ class RRCollection:
             self._index = self._build_index()
         return self._index
 
-    def build_index(self) -> None:
-        """Build the key-major index now if it is not built (reading
-        ``key_ptr`` or ``rr_ids`` builds it on demand)."""
-        self._indexed()
-
     # Cached, so that after the first read each is a plain attribute:
     # selection reads both at every coverage update.
     @cached_property
