@@ -6,8 +6,8 @@ coverage function and so monotone submodular. ``CoverageRevenueModel`` is
 that estimate over an ``RRCollection``. With a large fixed collection it
 *is* the Section-3 oracle (exact over its sample space, so the
 approximation-ratio theorems hold exactly there); with RMA's progressive
-collections it is the Section-4 estimator. Exact live-edge enumeration
-(``repro.influence.spread``) is kept only as the tests' oracle for it.
+collections it is the Section-4 estimator. Exact live-edge enumeration,
+the tests' oracle for it, lives with the tests (``tests/spread.py``).
 
 ``RMProblem`` bundles a model with per-node costs and budgets; every
 algorithm takes an ``RMProblem``. ``brute_force_opt`` computes OPT by

@@ -35,11 +35,14 @@ from repro.core.rm_oracle import approx_ratio, rm_with_oracle
 from repro.core.seekub import seek_ub
 from repro.influence.rrset import RRCollection
 
-# §4.4 extension: before returning, if the holdout estimate π̃(S⃗*, R₂) is
-# below ``BIAS_THRESHOLD``·π̃(S⃗*, R₁) (the solution overfits R₁), enlarge
-# both collections to ``BIAS_FACTOR``× their size and re-solve, within
-# θ_max and ``rr_cap``. This does not affect the theoretical guarantee and
-# improves empirical revenue on small samples.
+# Bias check, this repository's extension (the paper's Algorithm 6 returns
+# at the first β stop; DESIGN.md § Substitutions): before returning, if the
+# holdout estimate π̃(S⃗*, R₂) is below ``BIAS_THRESHOLD``·π̃(S⃗*, R₁) (the
+# solution overfits R₁), enlarge both collections to ``BIAS_FACTOR``× their
+# size and re-solve, within θ_max and ``rr_cap``. It only draws more
+# samples, so the guarantee holds; at ``tables.EXP``'s scaled θ it decides
+# the `flixster_lite` and `dblp_lite` samples (EXPERIMENTS.md § RMA's bias
+# check).
 BIAS_THRESHOLD = 0.8
 BIAS_FACTOR = 4
 
@@ -78,7 +81,7 @@ def rm_without_oracle(
 ) -> RMAResult:
     """Run RMA. ``rr_gen(n_rr, seed)`` produces a fresh RR collection;
     ``costs`` is (h, n) and gives both counts (δ = 1/n). Before returning,
-    the §4.4 bias check may enlarge both collections and re-solve
+    the bias check may enlarge both collections and re-solve
     (``BIAS_THRESHOLD``, ``BIAS_FACTOR``)."""
     costs = np.asarray(costs, dtype=np.float64)
     budgets = np.asarray(budgets, dtype=np.float64)
@@ -153,7 +156,7 @@ def rm_without_oracle(
             r1 = r1.merge(rr_gen(r1.n_rr, seed * 1_000_003 + 100 + 2 * rounds))
             r2 = r2.merge(rr_gen(r2.n_rr, seed * 1_000_003 + 101 + 2 * rounds))
             continue
-        # §4.4 bias check: re-solve on enlarged collections if the solution
+        # Bias check: re-solve on enlarged collections if the solution
         # does not generalise to R₂. At most a few enlargements, bounded by
         # θ_max and rr_cap.
         if (

@@ -35,7 +35,6 @@ class SearchResult:
     pi2: float | None  # π(T⃗₂*)
     gamma2: float
     b_min: int
-    n_iterations: int
 
 
 def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
@@ -75,5 +74,4 @@ def search(prob: RMProblem, tau: float, b_min: int) -> SearchResult:
         pi2=None if j2 is None else pis[j2],
         gamma2=g2,
         b_min=b_min,
-        n_iterations=len(runs),
     )

@@ -53,20 +53,14 @@ _FORK_MIN_ELEMENTS = 3000
 
 
 def fill_all(prob: RMProblem, starts: list) -> list[tuple[list, float]]:
-    """(Fill's allocation, its π) from each start. Fill reads only its
-    start, so the starts are independent: a problem of at least
-    ``_FORK_MIN_ELEMENTS`` elements fills them over the driver's cores
-    (``fork_map``), a smaller one inline; the results are the same."""
-    one = partial(_fill_start, prob)
+    """``fill`` from each start. Fill reads only its start, so the starts
+    are independent: a problem of at least ``_FORK_MIN_ELEMENTS`` elements
+    fills them over the driver's cores (``fork_map``), a smaller one
+    inline; the results are the same."""
+    one = partial(fill, prob)
     if prob.h * prob.n >= _FORK_MIN_ELEMENTS:
         return fork_map(one, starts)
     return [one(start) for start in starts]
-
-
-def _fill_start(prob: RMProblem, start) -> tuple[list, float]:
-    """(Fill's allocation, its π) from ``start``."""
-    ledger = _fill(prob, start)
-    return ledger.alloc, float(sum(ledger.pi_i(i) for i in range(prob.h)))  # = pi_alloc
 
 
 def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
@@ -126,15 +120,11 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
     )
 
 
-def fill(prob: RMProblem, allocation) -> list:
-    """Algorithm 3: greedily top up by marginal rate until budgets deplete."""
-    return _fill(prob, allocation).alloc
-
-
-def _fill(prob: RMProblem, allocation) -> Ledger:
-    """``fill``, returning its ledger (the filled sets and their state)."""
-    ledger = Ledger(prob, allocation)
-    spend, pi_i, costs, caps = ledger.spend, ledger.pi_i, ledger.costs, ledger.caps
+def fill(prob: RMProblem, start) -> tuple[list, float]:
+    """Algorithm 3: from ``start``, greedily top up by marginal rate until
+    budgets deplete; returns the filled allocation and its π̃."""
+    ledger = Ledger(prob, start)
+    spend, pi_i, caps = ledger.spend, ledger.pi_i, ledger.caps
     closed = ledger.closed
 
     # Both skip rules only become true as the sets grow (spend and π only
@@ -157,8 +147,7 @@ def _fill(prob: RMProblem, allocation) -> Ledger:
             closed.add(i)
 
     def overshoots(top):
-        u, i = top[1], top[2]
-        return spend[i] + costs[i][u] + pi_i(i) > caps[i]
+        return not ledger.fits(top[1], top[2], 0.0)
 
     def visit(u, i, g):  # select if it fits, else drop the element
         if ledger.fits(u, i, g):
@@ -171,4 +160,4 @@ def _fill(prob: RMProblem, allocation) -> Ledger:
     # singleton ones.
     order = presorted(rates(ledger.state.gains(advs, nodes), c), nodes, advs)
     ledger.run(order, visit, by_rate=True, skip=overshoots)
-    return ledger
+    return ledger.alloc, float(sum(pi_i(i) for i in range(prob.h)))

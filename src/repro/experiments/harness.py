@@ -44,23 +44,33 @@ class RunRecord:
     allocation: list = field(default_factory=list)
 
 
-def _measure(
-    inst: Instance,
-    alloc,
-    eval_rr: RRCollection,
-    own_budgets: np.ndarray,
-) -> dict:
+def _record(
+    inst: Instance, eval_rr: RRCollection, budgets, res, *,
+    algo: str, kernel: str, wall_s: float, params: dict,
+) -> RunRecord:
+    """The record of run result ``res`` on ``inst``: its allocation scored
+    on ``eval_rr``, its spend against the run's own ``budgets``."""
+    alloc = res.allocation
     revenue, _ = evaluate_revenue(eval_rr, alloc)
     seed_cost = float(
         sum(inst.costs[i, int(u)] for i in range(inst.h) for u in alloc[i])
     )
     spend = revenue + seed_cost
-    return dict(
+    return RunRecord(
+        algo=algo,
+        dataset=inst.name,
+        cost_model=inst.cost_model,
+        alpha=inst.alpha,
+        kernel=kernel,
+        wall_s=wall_s,
         revenue=revenue,
         seed_cost=seed_cost,
         n_seeds=int(sum(len(s) for s in alloc)),
-        budget_usage=spend / float(np.sum(own_budgets)),
+        n_rr_total=res.n_rr_total,
+        budget_usage=spend / float(np.sum(budgets)),
         rate_of_return=revenue / spend if spend > 0 else 0.0,
+        params=params,
+        allocation=alloc,
     )
 
 
@@ -92,23 +102,16 @@ def run_rma(
         rr_cap=rr_cap,
         seed=seed,
     )
-    wall = time.perf_counter() - t0
-    m = _measure(inst, res.allocation, eval_rr, inst.budgets)
-    return RunRecord(
+    return _record(
+        inst, eval_rr, inst.budgets, res,
         algo="RMA",
-        dataset=inst.name,
-        cost_model=inst.cost_model,
-        alpha=inst.alpha,
         kernel=kernel,
-        wall_s=wall,
-        n_rr_total=res.n_rr_total,
+        wall_s=time.perf_counter() - t0,
         params=dict(
             eps=eps, tau=tau, rho=rho, sample_scale=sample_scale,
             rounds=res.rounds, beta=res.beta, stopped_by=res.stopped_by,
             index_bytes=res.index_bytes,
         ),
-        allocation=res.allocation,
-        **m,
     )
 
 
@@ -145,20 +148,13 @@ def run_ti(
         seed=seed,
         max_latent=max_latent,
     )
-    wall = time.perf_counter() - t0
-    m = _measure(inst, res.allocation, eval_rr, budgets)
-    return RunRecord(
+    return _record(
+        inst, eval_rr, budgets, res,
         algo="TI-CARM" if rule == "gain" else "TI-CSRM",
-        dataset=inst.name,
-        cost_model=inst.cost_model,
-        alpha=inst.alpha,
         kernel=kernel,
-        wall_s=wall,
-        n_rr_total=res.n_rr_total,
+        wall_s=time.perf_counter() - t0,
         params=dict(
             eps=eps, rho=rho, sample_scale=sample_scale,
             regenerations=res.regenerations, index_bytes=res.index_bytes,
         ),
-        allocation=res.allocation,
-        **m,
     )

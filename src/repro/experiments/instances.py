@@ -6,13 +6,12 @@ the others are scaled down, with budgets scaled by the node-count ratio so
 budget-to-reachable-revenue ratios are preserved.
 
 Building an instance runs edge generation, TIC/WC probability mixing and
-CSR assembly on the driver (numpy), then reads the mean RR-set size off one
-``_CHUNK`` of sets made on the driver, then estimates singleton spreads from
-a dedicated RR collection (on the driver, or a Spark RDD fan-out for large
-ones when Spark has more cores than the driver), then attaches the
-seed-incentive costs. Only that RR collection can start a Spark job. The
-mean size (``Instance.width``) routes every later RR request of the
-instance: inline or forked on the driver, or to Spark.
+CSR assembly on the driver (numpy), then makes one dedicated RR collection
+on the driver (forked over its cores when it spans several chunks), from
+which it estimates singleton spreads, then attaches the seed-incentive
+costs. It starts no Spark job. That collection's mean set size
+(``Instance.width``) routes every later RR request of the instance: inline
+or forked on the driver, or to Spark.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ from repro.graphs.generators import powerlaw_edges, symmetrize
 from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries, wc_probs
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
-    _CHUNK,
     RRCollection,
     generate_rr_collection,
     generate_rr_local,
@@ -44,14 +42,14 @@ from repro.influence.rrset import (
 #   flixster_lite (4.6)          0.03/0.04/0.25  0.14/0.07/0.30  0.58/0.21/0.53  1.51/0.49/0.77  2.26/0.75/0.99  5.29/1.39/1.77
 #   livejournal_lite, WC (15.5)  0.15/0.13/0.29  0.69/0.25/0.46  2.63/0.73/0.96  6.72/1.85/2.06  —               —
 #
-# A request goes to Spark only when Spark has more cores than the driver
-# may use (``_spark_outnumbers_driver``) and it holds more than
-# ``_SPARK_MIN_MEMBERS``. When Spark's cores are the driver's own (every
-# `local[k]` master with k ≤ the driver's CPUs), the forked driver is faster
-# at every size measured, up to 13.7M members on flixster and 15.5M on the
-# WC graph. The one configuration measured in which Spark had more cores, a
-# one-core driver against `local[4]` (first of each triple), reaches parity
-# at ~1.7M members on flixster and ~1.2M on the WC graph, below the split.
+# A request goes to Spark only when it holds more than ``_SPARK_MIN_MEMBERS``
+# and Spark has more cores than the driver may use, which a `local[k]`
+# master never has: its executors inherit the driver's CPU affinity, and on
+# those shared cores the forked driver is faster at every size measured, up
+# to 13.7M members on flixster and 15.5M on the WC graph. A wider cluster
+# has not been measured; its stand-in, a one-core driver (first of each
+# triple) against `local[4]`, reaches parity at ~1.7M members on flixster
+# and ~1.2M on the WC graph, below the split.
 _SPARK_MIN_MEMBERS = 2_500_000
 
 # A driver request of at least this many expected members forks its
@@ -64,9 +62,11 @@ _FORK_MIN_MEMBERS = 150_000
 
 
 def _spark_outnumbers_driver(spark) -> bool:
-    """Whether Spark has more cores than the driver may fork over."""
+    """Whether Spark has more cores than the driver may fork over: never on
+    a local master, whose cores are the driver's."""
     return (
         spark is not None
+        and not spark.sparkContext.master.startswith("local")
         and spark.sparkContext.defaultParallelism > len(os.sched_getaffinity(0))
     )
 
@@ -136,7 +136,7 @@ class Instance:
     cpe: np.ndarray
     budgets: np.ndarray
     csr: CSRGraph
-    width: float  # mean RR-set size of the σ stream: routes each request
+    width: float  # mean RR-set size of the σ collection: routes each request
     sigma1: np.ndarray  # (h, n) singleton spread estimates
     costs: np.ndarray  # (h, n) seeding costs
     alpha: float
@@ -206,7 +206,8 @@ def build_instance(
     alpha: float = 0.1,
     cost_model: str = "linear",
 ) -> Instance:
-    """Assemble an instance from a preset (no caching — see get_instance)."""
+    """Assemble an instance from a preset (no caching — see get_instance).
+    Every step runs on the driver; ``spark`` is not used."""
     cfg = PRESETS[preset]
     src, dst, probs = _graph_and_probs(cfg)
     n, h = cfg["n"], cfg["h"]
@@ -217,12 +218,12 @@ def build_instance(
         budgets = np.asarray(cfg["budgets"], dtype=np.float64)
         cpe = np.asarray(cfg["cpes"], dtype=np.float64)
     csr = build_csr(n, src, dst, probs)
-    seed = cfg["seed"] + 77
-    probe = generate_rr_local(csr, cpe, _CHUNK, seed=seed)
-    width = len(probe.members) / probe.n_rr
-    sigma1 = singleton_spreads(
-        _generate(spark, csr, cpe, [(min(20 * n, 200_000), seed)], width)
+    # No width yet to route by: the σ collection gives it.
+    rr = generate_rr_local(
+        csr, cpe, min(20 * n, 200_000), seed=cfg["seed"] + 77, fork=True
     )
+    width = len(rr.members) / rr.n_rr
+    sigma1 = singleton_spreads(rr)
     costs = seed_costs(sigma1, alpha, cost_model)
     return Instance(
         name=preset,

@@ -10,7 +10,7 @@ Both are computed on the driver with numpy: the inputs are driver arrays
 and the RR kernels read a dense (h, m) array, so a distributed join +
 group-by would only add a shuffle round trip. The tests check the mixing
 against the same join + group-by written as SQL in DuckDB
-(``repro.oracle.assert_equivalent``).
+(``assert_equivalent`` in the tests' ``oracle`` module).
 
 The paper learns ``p̂^z`` from action logs; we sample sparse per-topic
 probabilities with a per-preset density chosen to match the paper's reported

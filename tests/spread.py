@@ -1,8 +1,8 @@
 """Exact influence spread by live-edge enumeration (tiny graphs only).
 
 Every spread and revenue the program computes is an RR-coverage estimate
-(Lemma 4.1, ``influence.rrset`` and ``core.model``). This module is the
-tests' oracle for it and is used by no program code: ``exact_spread_enum``
+(Lemma 4.1, ``repro.influence.rrset`` and ``repro.core.model``). This
+module is the tests' oracle for it: ``exact_spread_enum``
 enumerates all 2^m live-edge worlds (``live_edge_worlds``) and counts the
 nodes each world's BFS (``reached``) reaches from the seeds. Tests check
 RR singleton spreads and per-advertiser revenues of multi-node seed sets

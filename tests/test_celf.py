@@ -217,7 +217,7 @@ def test_threshold_greedy_matches_eager(seed, gamma_frac):
     assert res.d_sets == ref["d_sets"]
     assert res.a_sets == ref["a_sets"]
     assert res.b == ref["b"]
-    assert fill(prob, res.start) == ref["allocation"]
+    assert fill(prob, res.start)[0] == ref["allocation"]
 
 
 def _singleton_rates(prob):
@@ -245,7 +245,7 @@ def test_threshold_greedy_at_prefilter_edges_matches_eager(seed, at):
     assert (res.s_sets, res.d_sets, res.a_sets, res.b) == (
         ref["s_sets"], ref["d_sets"], ref["a_sets"], ref["b"]
     )
-    assert fill(prob, res.start) == ref["allocation"]
+    assert fill(prob, res.start)[0] == ref["allocation"]
     if at == "above_all":
         assert not any(res.s_sets) and not any(res.d_sets)
 
@@ -262,7 +262,7 @@ def test_threshold_greedy_single_depleted_path_matches_eager():
             hits += 1
             ref = eager_threshold_greedy(prob, gamma_frac * float(prob.budgets.min()))
             assert res.a_sets == ref["a_sets"]
-            assert fill(prob, res.start) == ref["allocation"]
+            assert fill(prob, res.start)[0] == ref["allocation"]
     assert hits >= 3
 
 
@@ -275,7 +275,7 @@ def test_fill_matches_eager(seed, start_frac):
     part = RMProblem(prob.model, prob.costs, start_frac * prob.budgets)
     start = ca_greedy(part)
     assert prob.is_feasible(start)
-    assert fill(prob, start) == eager_fill(prob, start)
+    assert fill(prob, start)[0] == eager_fill(prob, start)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -291,7 +291,7 @@ def test_fill_matches_eager_when_slack_is_below_every_cost(seed, which):
         budgets[i] = used + 0.5 * float(prob.costs[i].min())
     tight = RMProblem(prob.model, prob.costs, budgets)
     assert tight.is_feasible(start)
-    got = fill(tight, start)
+    got = fill(tight, start)[0]
     assert got == eager_fill(tight, start)
     assert got[0] == start[0]
     if which == "all":

@@ -56,3 +56,24 @@ def test_no_unused_imports():
         str(p.relative_to(ROOT)): names for p in SCANNED if (names := _unused_imports(p))
     }
     assert not unused
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level package of every module ``path`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_package_module_imports_duckdb():
+    """DuckDB is the tests' oracle (``tests/oracle.py``), not a dependency
+    of the program."""
+    package = sorted((ROOT / "src/repro").rglob("*.py"))
+    assert len(package) > 20
+    assert not [
+        str(p.relative_to(ROOT)) for p in package if "duckdb" in _imported_modules(p)
+    ]

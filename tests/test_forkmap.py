@@ -126,8 +126,7 @@ def test_fill_all_forks_only_from_the_element_threshold(forks, monkeypatch, min_
     prob = random_coverage_problem(3, n=9, h=3, n_rr=80)
     starts = [tg.threshold_greedy(prob, g).start for g in (0.0, 0.2, 0.5)]
     got = tg.fill_all(prob, starts)
-    assert got == [tg._fill_start(prob, s) for s in starts]
-    assert [a for a, _ in got] == [tg.fill(prob, s) for s in starts]
+    assert got == [tg.fill(prob, s) for s in starts]
     assert len(forks) == (3 if min_elements == 0 else 0)
     assert all(_reaped(pid) for pid in forks)
 

@@ -137,21 +137,28 @@ def test_spark_runs_a_request_only_with_more_cores_than_the_driver(
     tiny_inst, monkeypatch, parallelism
 ):
     """A request over the split goes to Spark only when Spark's default
-    parallelism exceeds the CPUs the driver may fork over (here 4), and to
-    the driver otherwise; without a session it always runs on the driver."""
+    parallelism exceeds the CPUs the driver may fork over (here 4) on a
+    master that is not local, and to the driver otherwise: a `local[k]`
+    master runs on the driver's own cores whatever its k. Without a session
+    it always runs on the driver."""
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    fake = SimpleNamespace(sparkContext=SimpleNamespace(defaultParallelism=parallelism))
-    assert instances._spark_outnumbers_driver(fake) == (parallelism > 4)
     assert not instances._spark_outnumbers_driver(None)
     calls = _spy_paths(monkeypatch)
     monkeypatch.setattr(instances, "generate_rr_collection", lambda *a, **kw: "spark")
     inst = tiny_inst
-    got = instances._generate(fake, inst.csr, inst.cpe, [(700, 17)], inst.width)
-    if parallelism > 4:
-        assert got == "spark" and calls == []
-    else:
-        assert calls == ["local"] and got.n_rr == 700
+    for master in ("spark://cluster:7077", "local[16]", "local[*]"):
+        fake = SimpleNamespace(
+            sparkContext=SimpleNamespace(master=master, defaultParallelism=parallelism)
+        )
+        wider = parallelism > 4 and not master.startswith("local")
+        assert instances._spark_outnumbers_driver(fake) == wider
+        calls.clear()
+        got = instances._generate(fake, inst.csr, inst.cpe, [(700, 17)], inst.width)
+        if wider:
+            assert got == "spark" and calls == []
+        else:
+            assert calls == ["local"] and got.n_rr == 700
 
 
 @pytest.mark.parametrize("n_rr", [1000, 40_000, 150_000])
@@ -195,11 +202,21 @@ def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, rout
     _assert_same_collection(got, want)
 
 
-def test_width_is_the_mean_size_of_one_chunk_of_the_sigma_stream(tiny_inst):
-    probe = generate_rr_local(
-        tiny_inst.csr, tiny_inst.cpe, _CHUNK, seed=PRESETS["tiny"]["seed"] + 77
+def test_width_is_the_mean_size_of_the_sigma_collection(tiny_inst):
+    cfg = PRESETS["tiny"]
+    rr = generate_rr_local(
+        tiny_inst.csr, tiny_inst.cpe, min(20 * cfg["n"], 200_000), seed=cfg["seed"] + 77
     )
-    assert tiny_inst.width == len(probe.members) / probe.n_rr
+    assert tiny_inst.width == len(rr.members) / rr.n_rr
+
+
+@pytest.mark.parametrize("preset", ["tiny", "lastfm_lite"])
+def test_build_instance_draws_the_sigma_collection_once(monkeypatch, preset):
+    """``build_instance`` makes one RR generation call, on the driver: the
+    σ collection, which gives both the singleton spreads and the width."""
+    calls = _spy_paths(monkeypatch)
+    build_instance(None, preset)
+    assert calls == ["local"]
 
 
 def test_setup_starts_no_spark_job(spark):

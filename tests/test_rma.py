@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core.bounds import lb_mean, ub_mean
 from repro.core.model import CoverageRevenueModel, RMProblem, brute_force_opt
 from repro.core.rm_oracle import approx_ratio
 from repro.core.rma import BIAS_FACTOR, BIAS_THRESHOLD, rm_without_oracle
@@ -98,11 +99,19 @@ def test_rma_cap_path(small_world):
 
 
 def test_rma_revenue_vs_sampled_opt(small_world, rma_run):
-    """π(S⃗*) ≥ (λ−ε)·OPT with OPT estimated from the eval sample via the
-    (loose) certified upper bound z — a consistency check, not the proof."""
-    res = rma_run
+    """π(S⃗*) ≥ (λ−ε)·OPT rests on RMA's two Lemma B.7 bounds, LB(S⃗*) from
+    R₂ and UB(O⃗) ≥ OPT from SeekUB's z on R₁. The independent eval sample's
+    bounds on π(S⃗*), at RMA's own q, must be consistent with both: its upper
+    bound is at least LB(S⃗*), and its lower bound at most UB(O⃗) — a
+    consistency check, not the proof."""
+    w, res = small_world, rma_run
     assert res.pi_est_r1 > 0
     assert res.beta > 0
+    d, ev = res.diagnostics, w["eval_rr"]
+    pi_eval, _ = evaluate_revenue(ev, res.allocation)
+    n_gamma = w["csr"].n * float(w["cpe"].sum())
+    assert ub_mean(pi_eval, ev.n_rr, n_gamma, d["q"]) >= d["lb_s"]
+    assert lb_mean(pi_eval, ev.n_rr, n_gamma, d["q"]) <= d["ub_o"]
 
 
 def test_rma_tiny_instance_ratio():
@@ -133,9 +142,9 @@ def test_rma_tiny_instance_ratio():
 
 
 def test_bias_check_enlarges_both_collections():
-    """§4.4: after a β stop, a solution whose R₂ estimate falls below
-    ``BIAS_THRESHOLD`` of its R₁ estimate makes RMA add 3·|R₁| sets to both
-    collections and re-solve, until the next enlargement would pass
+    """The bias check: after a β stop, a solution whose R₂ estimate falls
+    below ``BIAS_THRESHOLD`` of its R₁ estimate makes RMA add 3·|R₁| sets to
+    both collections and re-solve, until the next enlargement would pass
     ``rr_cap``.
 
     Only node 0 is affordable. Every R₁ set is {0}; R₂'s sets are {0} three

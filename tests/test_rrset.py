@@ -27,7 +27,7 @@ from repro.influence.rrset import (
     generate_rr_collection,
     generate_rr_local,
 )
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -762,7 +762,7 @@ TINY_TIC = np.array([
 def _exact_membership(n, probs):
     """P(u ∈ RR | adv, root) as an (h, root, u) array: the probability that
     root is reachable from u in a live-edge world of adv."""
-    from repro.influence.spread import live_edge_worlds, reached
+    from tests.spread import live_edge_worlds, reached
 
     out = np.zeros((len(probs), n, n))
     for adv, row in enumerate(probs):

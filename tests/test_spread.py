@@ -5,7 +5,7 @@ import pytest
 from repro.graphs.csr import build_csr
 from repro.influence.evaluate import evaluate_revenue, singleton_spreads
 from repro.influence.rrset import generate_rr_local
-from repro.influence.spread import exact_spread_enum
+from tests.spread import exact_spread_enum
 
 from tests.test_rrset import TINY_DST, TINY_SRC, TINY_TIC
 

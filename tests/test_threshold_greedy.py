@@ -19,7 +19,7 @@ def test_theorem_3_2_cases(seed, gamma_frac):
     prob = random_coverage_problem(seed, n=7, h=2, n_rr=30)
     gamma = gamma_frac * float(prob.budgets.min())
     res = threshold_greedy(prob, gamma)
-    pi = prob.model.pi_alloc(fill(prob, res.start))
+    pi = prob.model.pi_alloc(fill(prob, res.start)[0])
     opt, _ = brute_force_opt(prob)
     h = prob.h
     if res.b >= 2:
@@ -48,14 +48,14 @@ def test_allocation_valid(seed):
     """Disjoint seed sets; every advertiser within budget (model space)."""
     prob = random_coverage_problem(seed, n=8, h=3, n_rr=40)
     res = threshold_greedy(prob, 0.2 * float(prob.budgets.min()))
-    assert prob.is_feasible(fill(prob, res.start))
+    assert prob.is_feasible(fill(prob, res.start)[0])
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fill_only_improves(seed):
     prob = random_coverage_problem(seed, n=8, h=2, n_rr=40)
     base = [set(), {1}] if prob.is_feasible([set(), {1}]) else [set(), set()]
-    filled = fill(prob, base)
+    filled = fill(prob, base)[0]
     assert prob.model.pi_alloc(filled) >= prob.model.pi_alloc(base) - 1e-12
     assert base[1] <= filled[1]
     assert prob.is_feasible(filled)
@@ -63,7 +63,7 @@ def test_fill_only_improves(seed):
 
 def test_fill_respects_disjointness():
     prob = random_coverage_problem(3, n=8, h=2, n_rr=40)
-    filled = fill(prob, [set(), set()])
+    filled = fill(prob, [set(), set()])[0]
     assert not (filled[0] & filled[1])
 
 

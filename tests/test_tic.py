@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs.generators import powerlaw_edges
 from repro.graphs.tic import ad_mixtures, tic_probs, tic_topic_entries, wc_probs
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 
 
 @pytest.mark.parametrize("seed", range(3))
