@@ -38,7 +38,7 @@ def test_ti_lastfm(benchmark, lastfm, rule):
 
     def run():
         return ti_rm(
-            inst.rr_gen_adv(None),
+            inst.rr_gen_adv(),
             inst.csr,
             inst.costs,
             (1.0 + RHO) * inst.budgets,

@@ -26,12 +26,14 @@ from pyspark.sql import SparkSession  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    It serves the tests that run RR generation on Spark
+    (``generate_rr_collection`` in ``test_rrset.py``,
+    ``test_rrset_identity.py`` and ``test_instances.py``) and
+    ``test_singleton_cover_counts_vs_duckdb``, whose ``createDataFrame``
+    and group-by are why Arrow is on and the shuffle partitions are set
+    here. Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set
+    above, before the JVM launches). A test that needs no Spark does not
+    ask for this fixture, so running it alone starts no JVM.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -40,7 +42,6 @@ def spark() -> SparkSession:
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     # One line in the test log with the session's memory, master and cores.

@@ -2,6 +2,13 @@
 
 Each ``jobs/<name>.py`` reproduces one table from the paper; run as
 ``spark-submit jobs/<name>.py`` or plain ``python jobs/<name>.py``.
+
+A job starts its session before it runs a table and passes it to nothing:
+an RR request reaches Spark only through the session active on the calling
+thread (``SparkSession.getActiveSession`` in ``repro.experiments.instances``),
+and only when it is large enough and that session has more cores than the
+driver, which a ``local[k]`` master never has. ``spark-submit`` to a
+cluster is how a large request gets such a session.
 """
 from __future__ import annotations
 

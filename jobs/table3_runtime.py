@@ -10,7 +10,7 @@ from repro.experiments.tables import table3_runtime, _pivot
 
 if __name__ == "__main__":
     spark = get_spark("table3")
-    pivot, records = table3_runtime(spark)
+    pivot, records = table3_runtime()
     print_table("Table 3: Running time (s), linear cost model", pivot.round(1))
     print_table("Revenue at the same settings", _pivot(records, "revenue").round(0))
     print_table("Seed counts (Fig. 3 analogue)", _pivot(records, "n_seeds"))

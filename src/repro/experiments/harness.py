@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.baselines.ti_carm import ti_rm
 from repro.core.rma import rm_without_oracle
@@ -75,7 +74,7 @@ def _record(
 
 
 def run_rma(
-    spark: SparkSession,
+    spark,
     inst: Instance,
     eval_rr: RRCollection,
     *,
@@ -87,8 +86,9 @@ def run_rma(
     kernel: str = "standard",
     seed: int = 7,
 ) -> RunRecord:
-    """Time and score one RMA run on ``inst``."""
-    gen = inst.rr_gen(spark, kernel)
+    """Time and score one RMA run on ``inst``. ``spark`` is unread, kept
+    first only for ``perfbench/workloads.py``'s positional call."""
+    gen = inst.rr_gen(kernel)
     t0 = time.perf_counter()
     res = rm_without_oracle(
         gen,
@@ -116,7 +116,7 @@ def run_rma(
 
 
 def run_ti(
-    spark: SparkSession,
+    spark,
     inst: Instance,
     eval_rr: RRCollection,
     *,
@@ -131,9 +131,10 @@ def run_ti(
 ) -> RunRecord:
     """Time and score one TI-CARM ("gain") / TI-CSRM ("rate") run.
 
-    Budgets are (1+ϱ)×RMA's, per the §5.1 fairness rule.
+    Budgets are (1+ϱ)×RMA's, per the §5.1 fairness rule. ``spark`` is
+    unread, kept first only for ``perfbench/workloads.py``'s positional call.
     """
-    gen = inst.rr_gen_adv(spark, kernel)
+    gen = inst.rr_gen_adv(kernel)
     budgets = (1.0 + rho) * inst.budgets
     t0 = time.perf_counter()
     res = ti_rm(

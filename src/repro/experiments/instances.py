@@ -11,7 +11,9 @@ on the driver (forked over its cores when it spans several chunks), from
 which it estimates singleton spreads, then attaches the seed-incentive
 costs. It starts no Spark job. That collection's mean set size
 (``Instance.width``) routes every later RR request of the instance: inline
-or forked on the driver, or to Spark.
+or forked on the driver, or to Spark. A request reaches Spark only through
+the session its caller has active (``SparkSession.getActiveSession``);
+nothing here starts one.
 """
 from __future__ import annotations
 
@@ -71,24 +73,26 @@ def _spark_outnumbers_driver(spark) -> bool:
     )
 
 
-def _generate(spark, csr, cpe, blocks, width, kernel="standard") -> RRCollection:
+def _generate(csr, cpe, blocks, width, kernel="standard") -> RRCollection:
     """Sets 0..n_j-1 of (csr, cpe, kernel, s_j) for each ``(n_j, s_j)`` of
     ``blocks`` in turn, as ``generate_rr_local`` numbers them, in one call.
 
     A single block whose expected members (sets × ``width``, the instance's
-    mean RR-set size) exceed ``_SPARK_MIN_MEMBERS`` runs on Spark if Spark
+    mean RR-set size) exceed ``_SPARK_MIN_MEMBERS`` runs on Spark if the
+    calling thread's active session, looked up here and never started,
     outnumbers the driver's cores; every other request, a block list of any
     size included (Spark takes one seed range), runs on the driver, forked
-    from ``_FORK_MIN_MEMBERS``. Every path returns the same collection.
+    from ``_FORK_MIN_MEMBERS``. A call from a thread without a session runs
+    on the driver and returns the same collection, as every path does.
     """
     members = sum(n for n, _ in blocks) * width
-    if (
-        len(blocks) == 1
-        and members > _SPARK_MIN_MEMBERS
-        and _spark_outnumbers_driver(spark)
-    ):
-        [(n_rr, seed)] = blocks
-        return generate_rr_collection(spark, csr, cpe, n_rr, seed=seed, kernel=kernel)
+    if len(blocks) == 1 and members > _SPARK_MIN_MEMBERS:
+        spark = SparkSession.getActiveSession()
+        if _spark_outnumbers_driver(spark):
+            [(n_rr, seed)] = blocks
+            return generate_rr_collection(
+                spark, csr, cpe, n_rr, seed=seed, kernel=kernel
+            )
     return generate_rr_local(
         csr, cpe, blocks, kernel=kernel, fork=members >= _FORK_MIN_MEMBERS
     )
@@ -154,24 +158,22 @@ class Instance:
     def h(self) -> int:
         return len(self.cpe)
 
-    def rr_gen(self, spark: SparkSession, kernel: str = "standard"):
+    def rr_gen(self, kernel: str = "standard"):
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
 
         def gen(n_rr: int, seed: int) -> RRCollection:
-            return _generate(
-                spark, self.csr, self.cpe, [(n_rr, seed)], self.width, kernel
-            )
+            return _generate(self.csr, self.cpe, [(n_rr, seed)], self.width, kernel)
 
         return gen
 
-    def rr_gen_adv(self, spark: SparkSession, kernel: str = "standard"):
+    def rr_gen_adv(self, kernel: str = "standard"):
         """Per-advertiser RR generator for the TI baselines: gen(adv, blocks)
         for a list of ``(n_rr, seed)`` blocks, made in one call."""
 
         def gen(adv: int, blocks) -> RRCollection:
             onehot = np.zeros(self.h)
             onehot[adv] = self.cpe[adv]
-            return _generate(spark, self.csr, onehot, blocks, self.width, kernel)
+            return _generate(self.csr, onehot, blocks, self.width, kernel)
 
         return gen
 
@@ -207,7 +209,8 @@ def build_instance(
     cost_model: str = "linear",
 ) -> Instance:
     """Assemble an instance from a preset (no caching — see get_instance).
-    Every step runs on the driver; ``spark`` is not used."""
+    Every step runs on the driver. ``spark`` is unread, kept first only for
+    ``perfbench/workloads.py``'s positional call."""
     cfg = PRESETS[preset]
     src, dst, probs = _graph_and_probs(cfg)
     n, h = cfg["n"], cfg["h"]
@@ -243,7 +246,6 @@ _EVAL_CACHE: dict = {}
 
 
 def get_instance(
-    spark: SparkSession,
     preset: str,
     *,
     alpha: float = 0.1,
@@ -254,7 +256,7 @@ def get_instance(
     (α, cost model), so sweeping α re-derives only the cost matrix."""
     if preset not in _INSTANCE_CACHE:
         _INSTANCE_CACHE[preset] = build_instance(
-            spark, preset, alpha=alpha, cost_model=cost_model
+            None, preset, alpha=alpha, cost_model=cost_model
         )
     base = _INSTANCE_CACHE[preset]
     if base.alpha == alpha and base.cost_model == cost_model:
@@ -268,12 +270,10 @@ def get_instance(
 
 
 def get_eval_rr(
-    spark: SparkSession, inst: Instance, *, n_eval: int = 100_000, seed: int = 424242
+    inst: Instance, *, n_eval: int = 100_000, seed: int = 424242
 ) -> RRCollection:
     """Independent evaluation collection (the paper's 10^7-RR analogue)."""
     key = (inst.name, n_eval, seed)
     if key not in _EVAL_CACHE:
-        _EVAL_CACHE[key] = _generate(
-            spark, inst.csr, inst.cpe, [(n_eval, seed)], inst.width
-        )
+        _EVAL_CACHE[key] = _generate(inst.csr, inst.cpe, [(n_eval, seed)], inst.width)
     return _EVAL_CACHE[key]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.experiments.harness import RunRecord, run_rma, run_ti
 from repro.experiments.instances import (
@@ -89,7 +88,6 @@ def table2_budgets() -> pd.DataFrame:
 
 
 def _run_all(
-    spark: SparkSession,
     dataset: str,
     alpha: float,
     *,
@@ -99,13 +97,13 @@ def _run_all(
     algos=("RMA", "TI-CARM", "TI-CSRM"),
 ) -> list[RunRecord]:
     exp = EXP[dataset]
-    inst = get_instance(spark, dataset, alpha=alpha, cost_model=cost_model)
-    eval_rr = get_eval_rr(spark, inst, n_eval=exp["n_eval"])
+    inst = get_instance(dataset, alpha=alpha, cost_model=cost_model)
+    eval_rr = get_eval_rr(inst, n_eval=exp["n_eval"])
     out = []
     if "RMA" in algos:
         out.append(
             run_rma(
-                spark, inst, eval_rr,
+                None, inst, eval_rr,
                 eps=0.02, tau=tau, rho=0.1,
                 sample_scale=exp["sample_scale"], rr_cap=exp["rr_cap"],
                 kernel=kernel,
@@ -117,7 +115,7 @@ def _run_all(
         if name in algos:
             out.append(
                 run_ti(
-                    spark, inst, eval_rr,
+                    None, inst, eval_rr,
                     rule=rule, eps=0.1, rho=0.1,
                     sample_scale=exp["sample_scale"], rr_cap=exp["ti_cap"],
                     kernel=kernel, max_latent=exp["max_latent"],
@@ -136,7 +134,6 @@ def _pivot(records: list[RunRecord], value: str) -> pd.DataFrame:
 
 
 def table3_runtime(
-    spark: SparkSession,
     *,
     datasets=("lastfm_lite", "flixster_lite"),
     alphas=ALPHAS,
@@ -150,12 +147,11 @@ def table3_runtime(
     records: list[RunRecord] = []
     for d in datasets:
         for a in alphas:
-            records.extend(_run_all(spark, d, a, kernel=kernel))
+            records.extend(_run_all(d, a, kernel=kernel))
     return _pivot(records, "wall_s"), records
 
 
 def table5_tau(
-    spark: SparkSession,
     *,
     dataset: str = "lastfm_lite",
     taus=TAUS,
@@ -167,8 +163,8 @@ def table5_tau(
     """
     records: list[RunRecord] = []
     for tau in taus:
-        records.extend(_run_all(spark, dataset, 0.1, tau=tau, algos=("RMA",)))
-    base = _run_all(spark, dataset, 0.1, algos=("TI-CARM", "TI-CSRM"))
+        records.extend(_run_all(dataset, 0.1, tau=tau, algos=("RMA",)))
+    base = _run_all(dataset, 0.1, algos=("TI-CARM", "TI-CSRM"))
     records.extend(base)
     rows = [
         dict(algo=r.algo, tau=r.params.get("tau", "-"), wall_s=r.wall_s,
@@ -179,10 +175,9 @@ def table5_tau(
 
 
 def table6_subsim(
-    spark: SparkSession,
     *,
     datasets=("lastfm_lite", "flixster_lite"),
     alphas=ALPHAS,
 ) -> tuple[pd.DataFrame, list[RunRecord]]:
     """Table 6: Table 3's workload with the SUBSIM RR kernel everywhere."""
-    return table3_runtime(spark, datasets=datasets, alphas=alphas, kernel="subsim")
+    return table3_runtime(datasets=datasets, alphas=alphas, kernel="subsim")

@@ -1,10 +1,14 @@
 """Every ``repro`` subpackage imports and every name in its ``__all__``
-resolves, so a deleted definition cannot leave a stale export behind; and
-no module imports a name it never uses, so a deleted use cannot leave a
-stale import behind."""
+resolves, so a deleted definition cannot leave a stale export behind; no
+module imports a name it never uses, so a deleted use cannot leave a stale
+import behind; and every third-party package imported is declared in
+``pyproject.toml``."""
 import ast
 import importlib
 import pkgutil
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,27 @@ def test_no_package_module_imports_duckdb():
     assert not [
         str(p.relative_to(ROOT)) for p in package if "duckdb" in _imported_modules(p)
     ]
+
+
+def _declared(requirements: list[str]) -> set[str]:
+    """Import names of requirement strings such as ``"pytest-benchmark>=5"``."""
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+        for r in requirements
+    }
+
+
+def test_every_third_party_import_is_declared():
+    """``pip install -e .[test]`` installs what the code imports: the
+    package's imports are project dependencies, and the tests' and
+    benchmarks' are dependencies or ``test`` extras."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    runtime = _declared(project["dependencies"])
+    testing = runtime | _declared(project["optional-dependencies"]["test"])
+    local = {"repro", "tests", "benchmarks"}
+    for dirs, declared in ((("src",), runtime), (("tests", "benchmarks"), testing)):
+        imported = set().union(
+            *(_imported_modules(p) for d in dirs for p in (ROOT / d).rglob("*.py"))
+        )
+        third_party = imported - set(sys.stdlib_module_names) - local
+        assert third_party and third_party <= declared, (dirs, third_party - declared)

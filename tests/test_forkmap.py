@@ -140,7 +140,7 @@ def test_rma_is_independent_of_the_cpu_count(forks, monkeypatch, preset):
 
     def run():
         res = rm_without_oracle(
-            inst.rr_gen(None), inst.costs, inst.budgets, inst.cpe,
+            inst.rr_gen(), inst.costs, inst.budgets, inst.cpe,
             eps=0.02, tau=0.1, rho=0.1, sample_scale=exp["sample_scale"],
             rr_cap=exp["rr_cap"], seed=7,
         )

@@ -6,17 +6,17 @@ from repro.experiments.instances import get_eval_rr, get_instance
 
 
 @pytest.fixture(scope="module")
-def world(spark):
-    inst = get_instance(spark, "tiny", alpha=0.1, cost_model="linear")
-    ev = get_eval_rr(spark, inst, n_eval=20000)
-    return spark, inst, ev
+def world():
+    inst = get_instance("tiny", alpha=0.1, cost_model="linear")
+    ev = get_eval_rr(inst, n_eval=20000)
+    return inst, ev
 
 
 @pytest.fixture(scope="module")
 def rma_record(world):
-    spark, inst, ev = world
+    inst, ev = world
     return run_rma(
-        spark, inst, ev, eps=0.1, rho=0.2, sample_scale=1.0, rr_cap=60_000
+        None, inst, ev, eps=0.1, rho=0.2, sample_scale=1.0, rr_cap=60_000
     )
 
 
@@ -34,7 +34,7 @@ def test_rma_record_fields(rma_record):
 def test_rma_bicriteria_on_eval(world, rma_record):
     """(1+ϱ)-budget feasibility holds against the independent eval sample
     (with sampling slack)."""
-    _, inst, ev = world
+    inst, ev = world
     from repro.influence.evaluate import evaluate_revenue
 
     _, per = evaluate_revenue(ev, rma_record.allocation)
@@ -45,9 +45,9 @@ def test_rma_bicriteria_on_eval(world, rma_record):
 
 @pytest.mark.parametrize("rule", ["gain", "rate"])
 def test_ti_record_fields(world, rule):
-    spark, inst, ev = world
+    inst, ev = world
     r = run_ti(
-        spark, inst, ev, rule=rule, eps=0.1, sample_scale=0.3,
+        None, inst, ev, rule=rule, eps=0.1, sample_scale=0.3,
         rr_cap=10_000, max_latent=8,
     )
     assert r.algo == ("TI-CARM" if rule == "gain" else "TI-CSRM")
@@ -61,6 +61,6 @@ def test_ti_record_fields(world, rule):
 
 
 def test_budget_usage_definition(world, rma_record):
-    _, inst, _ = world
+    inst, _ = world
     expect = (rma_record.revenue + rma_record.seed_cost) / inst.budgets.sum()
     assert rma_record.budget_usage == pytest.approx(expect)

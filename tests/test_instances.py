@@ -36,8 +36,8 @@ def test_table2_budget_stats():
 
 
 @pytest.fixture(scope="module")
-def tiny_inst(spark):
-    return get_instance(spark, "tiny", alpha=0.1, cost_model="linear")
+def tiny_inst():
+    return get_instance("tiny", alpha=0.1, cost_model="linear")
 
 
 def test_tiny_instance_shapes(tiny_inst):
@@ -51,10 +51,10 @@ def test_tiny_instance_shapes(tiny_inst):
     assert inst.csr.n == 60
 
 
-def test_instance_cache_and_cost_variants(spark, tiny_inst):
-    again = get_instance(spark, "tiny", alpha=0.1, cost_model="linear")
+def test_instance_cache_and_cost_variants(tiny_inst):
+    again = get_instance("tiny", alpha=0.1, cost_model="linear")
     assert again is tiny_inst
-    sup = get_instance(spark, "tiny", alpha=0.2, cost_model="superlinear")
+    sup = get_instance("tiny", alpha=0.2, cost_model="superlinear")
     assert sup is not tiny_inst
     # Graph and spreads shared; only costs differ.
     assert sup.csr is tiny_inst.csr
@@ -65,9 +65,9 @@ def test_costs_follow_model(tiny_inst):
     assert np.allclose(tiny_inst.costs, 0.1 * tiny_inst.sigma1)
 
 
-def test_eval_rr_cached(spark, tiny_inst):
-    a = get_eval_rr(spark, tiny_inst, n_eval=5000)
-    b = get_eval_rr(spark, tiny_inst, n_eval=5000)
+def test_eval_rr_cached(tiny_inst):
+    a = get_eval_rr(tiny_inst, n_eval=5000)
+    b = get_eval_rr(tiny_inst, n_eval=5000)
     assert a is b
     assert a.n_rr == 5000
 
@@ -111,6 +111,19 @@ def _assert_same_collection(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+def _active_session(monkeypatch, session):
+    """Make ``SparkSession.getActiveSession`` return ``session`` and count
+    its calls."""
+    lookups = []
+
+    def lookup():
+        lookups.append(session)
+        return session
+
+    monkeypatch.setattr(instances.SparkSession, "getActiveSession", lookup)
+    return lookups
+
+
 @pytest.mark.parametrize("n_rr", [0, 700, 5000])
 @pytest.mark.parametrize("min_members", [0, 10**12])
 def test_generate_dispatch_returns_the_same_collection(
@@ -120,12 +133,13 @@ def test_generate_dispatch_returns_the_same_collection(
     driver, a single block goes to Spark in one call when its expected
     members (sets × the instance's width) pass the threshold, to the driver
     in one call otherwise, and either way the collection equals the
-    driver's."""
+    driver's. The session Spark runs it on is the one this thread started,
+    found without being passed."""
     calls = _spy_paths(monkeypatch)
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", min_members)
-    monkeypatch.setattr(instances, "_spark_outnumbers_driver", lambda spark: True)
+    monkeypatch.setattr(instances, "_spark_outnumbers_driver", lambda s: s is spark)
     inst = tiny_inst
-    got = instances._generate(spark, inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
+    got = instances._generate(inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
     assert calls == ["spark" if n_rr * inst.width > min_members else "local"]
     want = generate_rr_local(inst.csr, inst.cpe, n_rr, seed=17)
     assert got.n_rr == n_rr
@@ -136,29 +150,47 @@ def test_generate_dispatch_returns_the_same_collection(
 def test_spark_runs_a_request_only_with_more_cores_than_the_driver(
     tiny_inst, monkeypatch, parallelism
 ):
-    """A request over the split goes to Spark only when Spark's default
-    parallelism exceeds the CPUs the driver may fork over (here 4) on a
-    master that is not local, and to the driver otherwise: a `local[k]`
-    master runs on the driver's own cores whatever its k. Without a session
-    it always runs on the driver."""
+    """A request over the split goes to Spark only when the active session's
+    default parallelism exceeds the CPUs the driver may fork over (here 4)
+    on a master that is not local, and to the driver otherwise: a `local[k]`
+    master runs on the driver's own cores whatever its k. Without an active
+    session it always runs on the driver."""
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     assert not instances._spark_outnumbers_driver(None)
     calls = _spy_paths(monkeypatch)
     monkeypatch.setattr(instances, "generate_rr_collection", lambda *a, **kw: "spark")
     inst = tiny_inst
-    for master in ("spark://cluster:7077", "local[16]", "local[*]"):
-        fake = SimpleNamespace(
+    for master in ("spark://cluster:7077", "local[16]", "local[*]", None):
+        fake = master and SimpleNamespace(
             sparkContext=SimpleNamespace(master=master, defaultParallelism=parallelism)
         )
-        wider = parallelism > 4 and not master.startswith("local")
+        _active_session(monkeypatch, fake)
+        wider = master is not None and parallelism > 4 and not master.startswith("local")
         assert instances._spark_outnumbers_driver(fake) == wider
         calls.clear()
-        got = instances._generate(fake, inst.csr, inst.cpe, [(700, 17)], inst.width)
+        got = instances._generate(inst.csr, inst.cpe, [(700, 17)], inst.width)
         if wider:
             assert got == "spark" and calls == []
         else:
             assert calls == ["local"] and got.n_rr == 700
+
+
+@pytest.mark.parametrize("n_rr, lookups", [(700, 0), (701, 1)])
+def test_generate_looks_a_session_up_only_over_the_split(
+    tiny_inst, monkeypatch, n_rr, lookups
+):
+    """``_generate`` asks for the active session only for a single block
+    over ``_SPARK_MIN_MEMBERS``, and once; without one, that block runs on
+    the driver too."""
+    inst = tiny_inst
+    monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 700 * inst.width)
+    seen = _active_session(monkeypatch, None)
+    calls = _spy_paths(monkeypatch)
+    got = instances._generate(inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
+    assert len(seen) == lookups
+    assert calls == ["local"]
+    _assert_same_collection(got, generate_rr_local(inst.csr, inst.cpe, n_rr, seed=17))
 
 
 @pytest.mark.parametrize("n_rr", [1000, 40_000, 150_000])
@@ -174,7 +206,7 @@ def test_driver_forks_a_request_only_from_the_member_threshold(tiny_inst, monkey
 
     monkeypatch.setattr(instances, "generate_rr_local", spy)
     inst = tiny_inst
-    got = instances._generate(None, inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
+    got = instances._generate(inst.csr, inst.cpe, [(n_rr, 17)], inst.width)
     assert got.n_rr == n_rr
     assert forks == [n_rr * inst.width >= instances._FORK_MIN_MEMBERS]
 
@@ -188,14 +220,17 @@ BLOCK_LISTS = {
 
 
 @pytest.mark.parametrize("route", list(BLOCK_LISTS))
-def test_generate_makes_one_call_per_request(spark, tiny_inst, monkeypatch, route):
+def test_generate_makes_one_call_per_request(tiny_inst, monkeypatch, route):
     """A request of several blocks (or none) is one driver call, never a
-    merge, however many members it holds: Spark takes one seed range only."""
+    merge, however many members it holds, even with an active session wider
+    than the driver: Spark takes one seed range only."""
     blocks = BLOCK_LISTS[route]
     calls = _spy_paths(monkeypatch)
     monkeypatch.setattr(instances, "_SPARK_MIN_MEMBERS", 0)
+    monkeypatch.setattr(instances, "_spark_outnumbers_driver", lambda s: True)
+    _active_session(monkeypatch, object())
     inst = tiny_inst
-    got = instances._generate(spark, inst.csr, inst.cpe, blocks, inst.width)
+    got = instances._generate(inst.csr, inst.cpe, blocks, inst.width)
     assert calls == ["local"]
     want = generate_rr_local(inst.csr, inst.cpe, blocks)
     assert got.n_rr == sum(n for n, _ in blocks)
@@ -229,7 +264,7 @@ def test_setup_starts_no_spark_job(spark):
     try:
         inst = build_instance(spark, "tiny")
         # A seed no other test uses, so the collection is generated here.
-        get_eval_rr(spark, inst, seed=515151)
+        get_eval_rr(inst, seed=515151)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)

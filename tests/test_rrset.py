@@ -671,7 +671,7 @@ def test_index_is_built_only_for_selection_samples(monkeypatch, algo):
     monkeypatch.setattr(RRCollection, "_build_index", spy)
     if algo == "RMA":
         made = []
-        gen = inst.rr_gen(None)
+        gen = inst.rr_gen()
 
         def rr_gen(n_rr, seed):
             made.append(gen(n_rr, seed))
@@ -697,7 +697,7 @@ def test_index_is_built_only_for_selection_samples(monkeypatch, algo):
         monkeypatch.setattr(ti_carm, "kpt_estimation", kpt_spy)
         unindexed = []
         theta = {i: [] for i in range(inst.h)}
-        gen_adv = inst.rr_gen_adv(None)
+        gen_adv = inst.rr_gen_adv()
 
         def rr_gen_adv(adv, blocks):
             rr = gen_adv(adv, blocks)

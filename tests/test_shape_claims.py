@@ -14,18 +14,18 @@ from repro.experiments.tables import EXP
 
 
 @pytest.fixture(scope="module")
-def linear_runs(spark):
+def linear_runs():
     exp = EXP["lastfm_lite"]
-    inst = get_instance(spark, "lastfm_lite", alpha=0.1, cost_model="linear")
-    ev = get_eval_rr(spark, inst, n_eval=exp["n_eval"])
+    inst = get_instance("lastfm_lite", alpha=0.1, cost_model="linear")
+    ev = get_eval_rr(inst, n_eval=exp["n_eval"])
     kw = dict(sample_scale=exp["sample_scale"])
-    rma = run_rma(spark, inst, ev, eps=0.02, rho=0.1, rr_cap=exp["rr_cap"], **kw)
+    rma = run_rma(None, inst, ev, eps=0.02, rho=0.1, rr_cap=exp["rr_cap"], **kw)
     carm = run_ti(
-        spark, inst, ev, rule="gain", eps=0.1, rr_cap=exp["ti_cap"],
+        None, inst, ev, rule="gain", eps=0.1, rr_cap=exp["ti_cap"],
         max_latent=exp["max_latent"], **kw,
     )
     csrm = run_ti(
-        spark, inst, ev, rule="rate", eps=0.1, rr_cap=exp["ti_cap"],
+        None, inst, ev, rule="rate", eps=0.1, rr_cap=exp["ti_cap"],
         max_latent=exp["max_latent"], **kw,
     )
     return rma, carm, csrm
@@ -65,18 +65,18 @@ def test_seed_cost_vs_csrm(linear_runs):
     assert rma.seed_cost <= csrm.seed_cost * 1.1
 
 
-def test_ti_carm_superlinear_collapse(spark):
+def test_ti_carm_superlinear_collapse():
     """Fig. 1 bottom: under the super-linear model TI-CARM terminates with
     very few seeds and far less revenue than RMA."""
     exp = EXP["lastfm_lite"]
-    inst = get_instance(spark, "lastfm_lite", alpha=0.1, cost_model="superlinear")
-    ev = get_eval_rr(spark, inst, n_eval=exp["n_eval"])
+    inst = get_instance("lastfm_lite", alpha=0.1, cost_model="superlinear")
+    ev = get_eval_rr(inst, n_eval=exp["n_eval"])
     rma = run_rma(
-        spark, inst, ev, eps=0.02, rho=0.1,
+        None, inst, ev, eps=0.02, rho=0.1,
         sample_scale=exp["sample_scale"], rr_cap=exp["rr_cap"],
     )
     carm = run_ti(
-        spark, inst, ev, rule="gain", eps=0.1,
+        None, inst, ev, rule="gain", eps=0.1,
         sample_scale=exp["sample_scale"], rr_cap=exp["ti_cap"],
         max_latent=exp["max_latent"],
     )
@@ -84,15 +84,15 @@ def test_ti_carm_superlinear_collapse(spark):
     assert carm.revenue < rma.revenue
 
 
-def test_revenue_decreases_with_alpha(spark):
+def test_revenue_decreases_with_alpha():
     """Fig. 1: all revenues fall as α grows (costs rise, fewer seeds fit)."""
     exp = EXP["lastfm_lite"]
     revs = []
     for alpha in (0.1, 0.5):
-        inst = get_instance(spark, "lastfm_lite", alpha=alpha, cost_model="linear")
-        ev = get_eval_rr(spark, inst, n_eval=exp["n_eval"])
+        inst = get_instance("lastfm_lite", alpha=alpha, cost_model="linear")
+        ev = get_eval_rr(inst, n_eval=exp["n_eval"])
         r = run_rma(
-            spark, inst, ev, eps=0.02, rho=0.1,
+            None, inst, ev, eps=0.02, rho=0.1,
             sample_scale=exp["sample_scale"], rr_cap=exp["rr_cap"],
         )
         revs.append(r.revenue)

@@ -1,4 +1,9 @@
 """Tests for the table builders (structure + tiny-scale smoke)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import tables
@@ -24,9 +29,9 @@ def test_table2_rows():
 
 
 @pytest.mark.parametrize("kernel", ["standard", "subsim"])
-def test_run_all_tiny(spark, kernel):
+def test_run_all_tiny(kernel):
     """The Table 3/6 inner loop end-to-end on the tiny preset."""
-    recs = tables._run_all(spark, "tiny", 0.1, kernel=kernel)
+    recs = tables._run_all("tiny", 0.1, kernel=kernel)
     algos = {r.algo for r in recs}
     assert algos == {"RMA", "TI-CARM", "TI-CSRM"}
     for r in recs:
@@ -34,10 +39,8 @@ def test_run_all_tiny(spark, kernel):
         assert r.kernel == kernel
 
 
-def test_table3_pivot_shape(spark):
-    pivot, records = tables.table3_runtime(
-        spark, datasets=("tiny",), alphas=[0.1, 0.3]
-    )
+def test_table3_pivot_shape():
+    pivot, records = tables.table3_runtime(datasets=("tiny",), alphas=[0.1, 0.3])
     assert set(pivot["algo"]) == {"RMA", "TI-CARM", "TI-CSRM"}
     assert 0.1 in pivot.columns and 0.3 in pivot.columns
     assert len(records) == 6
@@ -45,8 +48,26 @@ def test_table3_pivot_shape(spark):
     assert (index_bytes[[0.1, 0.3]] > 0).all().all()
 
 
-def test_table5_rows(spark):
-    rows, records = tables.table5_tau(spark, dataset="tiny", taus=[0.1, 0.45])
+def test_table5_rows():
+    rows, records = tables.table5_tau(dataset="tiny", taus=[0.1, 0.45])
     rma_rows = rows[rows["algo"] == "RMA"]
     assert len(rma_rows) == 2
     assert set(rows["algo"]) == {"RMA", "TI-CARM", "TI-CSRM"}
+
+
+def test_run_all_without_a_session_starts_no_jvm():
+    """A Table 3 cell on ``tiny`` needs no Spark: run in a fresh interpreter
+    that has no session, it leaves pyspark's JVM gateway unlaunched."""
+    code = (
+        "from pyspark import SparkContext\n"
+        "from repro.experiments import tables\n"
+        "recs = tables._run_all('tiny', 0.1)\n"
+        "assert {r.algo for r in recs} == {'RMA', 'TI-CARM', 'TI-CSRM'}\n"
+        "assert SparkContext._gateway is None, 'a JVM was launched'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tables.__file__).parents[2]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
